@@ -23,7 +23,7 @@ print(f"target excess probability eps = {EPS}\n")
 print("   n    converse   second-order   achievable     gap")
 previous_gap = None
 for n in (200, 500, 1000, 2000):
-    r_conv = f.converse_rate_bound(field, n, EPS)
+    r_conv = f.converse_rate_bound(field, f.tilted_sum_distribution(field, n), EPS)
     r_ach, _ = f.achievable_rate_estimate(sol, n, EPS, trials=2500, seed=n)
     r_star = f.second_order_rate(n, EPS, sol.rate, field.variance)
     gap = r_ach - r_conv
@@ -37,9 +37,10 @@ print("complementary question: how small can the failure probability be?")
 n = 500
 r_star = f.second_order_rate(n, EPS, sol.rate, field.variance)
 query = f.FblQuery.from_rate(n, D, r_star, eps=EPS)
-conv = f.converse_lower(query, field)
+sums = f.tilted_sum_distribution(field, n)    # shared by the converse and forward bounds
+conv = f.converse_lower(query, field, sums)
 sim = f.simulate_random_code(query, sol, trials=4000, seed=7)
-fwd = f.forward_bound(query, sol, field, trials=512, seed=8)
+fwd = f.forward_bound(query, sol, field, sums, trials=512, seed=8)
 print(f"\nn = {n}, rate = second-order prediction {r_star:.6f}")
 print(f"converse lower bound   eps >= {conv.value:.4f}   (slack gamma {conv.gamma:.2f})")
 print(f"random-coding bound    eps <= {sim.value:.4f} +- {sim.mc_stderr:.4f}")

@@ -37,6 +37,7 @@ from .coremath import (
     gaussian_cdf,
     gaussian_q,
     gaussian_q_inv,
+    pow_one_minus,
 )
 from .exceptions import (
     ConvergenceError,

@@ -15,6 +15,11 @@ Three bound evaluators share the machinery in this module:
   (tail term, distortion-window term, codebook-size term) that is cheap to
   evaluate and easier to analyze; it can never beat the simulated bound.
 
+The converse and the forward bound both read the n-letter tilted-sum
+distribution, a ``SumDistribution`` that the caller builds once with
+``tilted_sum_distribution(field, n)`` and passes to each; they reject one
+built for another blocklength.  ``converse_rate_bound`` takes it too.
+
 ``second_order_rate`` gives the Gaussian approximation
 R + sqrt(V/n) Q^{-1}(eps) that both bounds straddle.
 """
@@ -28,9 +33,9 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import gammaln
 
-from .coremath import gaussian_q_inv
+from .coremath import gaussian_q_inv, pow_one_minus
 from .exceptions import FblcrdError
-from .mc import chunked_monte_carlo
+from .mc import chunk_streams, chunked_monte_carlo
 from .solver import CrdSolution
 from .tilted import TiltedField
 
@@ -41,6 +46,8 @@ DEFAULT_RESOLUTION = 1e-6
 MAX_BINS = 1 << 23
 
 _MC_CHUNK = 1 << 12
+#: Pilot sample size of the forward bound's default calibration.
+_PILOT = 128
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +236,14 @@ def sum_distribution(values, probs, n, resolution=DEFAULT_RESOLUTION,
     return SumDistribution(vals, pmf, n, n * q)
 
 
-def tilted_sum_distribution(field: TiltedField, n: int,
-                            resolution=DEFAULT_RESOLUTION,
-                            max_bins=MAX_BINS) -> SumDistribution:
+def tilted_sum_distribution(field: TiltedField, n: int) -> SumDistribution:
     """Distribution of the n-letter tilted-density sum of an instance."""
-    return sum_distribution(field.atoms_value, field.atoms_prob, n,
-                            resolution=resolution, max_bins=max_bins)
+    return sum_distribution(field.atoms_value, field.atoms_prob, n)
+
+
+def _check_sums(sums: SumDistribution, n: int):
+    if sums.n != n:
+        raise ValueError(f"tilted-sum distribution is for n = {sums.n}, query has n = {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,42 +262,50 @@ def default_gamma_grid(n: int, variance: float):
     return sorted(g for g in grid if g > 0)
 
 
-def converse_lower(query: FblQuery, field: TiltedField, gamma: float | None = None,
-                   resolution=DEFAULT_RESOLUTION, max_bins=MAX_BINS) -> ConverseBound:
-    """Lower bound on eps_n for every code at the queried operating point.
-
-    When gamma is omitted the bound is maximized over the default grid
-    (which only improves it).  Vacuous (negative) values clamp to 0.
-    """
-    dist = tilted_sum_distribution(field, query.n, resolution=resolution,
-                                   max_bins=max_bins)
-    gammas = [float(gamma)] if gamma is not None else default_gamma_grid(
-        query.n, field.variance)
+def _best_slack(sums: SumDistribution, log_m: float, gammas):
+    """(value, gamma, tail, threshold) maximizing Pr[sum >= ln M + gamma] - exp(-gamma)."""
     best = None
     for g in gammas:
-        if g <= 0:
-            raise ValueError("gamma must be positive")
-        thr = query.log_m + g
-        tail = dist.tail_ge(thr)
+        thr = log_m + g
+        tail = sums.tail_ge(thr)
         val = tail - math.exp(-g)
         if best is None or val > best[0]:
             best = (val, g, tail, thr)
-    val, g, tail, thr = best
+    return best
+
+
+def converse_lower(query: FblQuery, field: TiltedField, sums: SumDistribution,
+                   gamma: float | None = None) -> ConverseBound:
+    """Lower bound on eps_n for every code at the queried operating point.
+
+    ``sums`` is the n-letter tilted-sum distribution of ``field``.  When
+    gamma is omitted the bound is maximized over the default grid (which
+    only improves it).  Vacuous (negative) values clamp to 0.
+    """
+    _check_sums(sums, query.n)
+    if gamma is None:
+        gammas = default_gamma_grid(query.n, field.variance)
+    elif gamma <= 0:
+        raise ValueError("gamma must be positive")
+    else:
+        gammas = [float(gamma)]
+    val, g, tail, thr = _best_slack(sums, query.log_m, gammas)
     return ConverseBound(value=min(max(val, 0.0), 1.0), gamma=g, tail=tail,
-                         threshold=thr, quantization_bound=dist.quantization_bound)
+                         threshold=thr, quantization_bound=sums.quantization_bound)
 
 
-def converse_rate_bound(field: TiltedField, n: int, eps: float,
-                        resolution=DEFAULT_RESOLUTION, max_bins=MAX_BINS) -> float:
+def converse_rate_bound(field: TiltedField, sums: SumDistribution, eps: float) -> float:
     """Smallest rate consistent with the converse at excess probability eps.
 
-    Any code with eps_n <= eps must satisfy rate >= the returned value.
+    ``sums`` is the n-letter tilted-sum distribution of ``field``.  Any
+    code of blocklength n with eps_n <= eps must satisfy rate >= the
+    returned value.
     """
-    dist = tilted_sum_distribution(field, n, resolution=resolution, max_bins=max_bins)
+    n = sums.n
     gammas = default_gamma_grid(n, field.variance)
 
     def eps_lower(log_m):
-        return max(max(dist.tail_ge(log_m + g) - math.exp(-g) for g in gammas), 0.0)
+        return max(_best_slack(sums, log_m, gammas)[0], 0.0)
 
     lo, hi = 0.0, n * float(np.max(field.atoms_value)) + 1.0
     if eps_lower(lo) <= eps:
@@ -311,7 +328,7 @@ def converse_rate_bound(field: TiltedField, n: int, eps: float,
 # ---------------------------------------------------------------------------
 
 
-def _lattice_quantum(dmat, n, resolution, max_bins):
+def _lattice_quantum(dmat, n):
     """Pick a lattice quantum for distortion values.
 
     Prefers an exact quantum (all values integer multiples of it, e.g.
@@ -331,25 +348,38 @@ def _lattice_quantum(dmat, n, resolution, max_bins):
     candidates.extend(float(d) for d in diffs[diffs > 1e-12])
     for q in sorted(set(candidates), reverse=True):
         mult = vals / q
-        if np.allclose(mult, np.rint(mult), atol=1e-9) and span * n / q <= max_bins:
+        if np.allclose(mult, np.rint(mult), atol=1e-9) and span * n / q <= MAX_BINS:
             return q, 0.0
-    q = max(resolution, 1e-3 * span)
-    if span * n / q > max_bins:
-        q = span * n / max_bins
+    q = max(DEFAULT_RESOLUTION, 1e-3 * span)
+    if span * n / q > MAX_BINS:
+        q = span * n / MAX_BINS
     return q, n * q
+
+
+def _codeword_laws(solution: CrdSolution):
+    """Per-class law of a codeword drawn from the optimal output law: P*(y | s)."""
+    return np.broadcast_to(solution.induced, solution.channel.shape)
 
 
 class _DistortionConvolver:
     """Exact distribution of sum_i d(x_i, Y_i) given per-class letter counts.
 
-    A class is a joint symbol (x, s); its per-letter kernel is the lattice
-    law of d(x, Y) with Y drawn from a class-specific output distribution.
+    A class is a joint symbol (x, s) of positive probability; its per-letter
+    kernel is the lattice law of d(x, Y) with Y drawn from ``laws[x, s]``.
     """
 
-    def __init__(self, dmat, class_symbols, class_ydists, n, resolution, max_bins):
-        self.q, self.quantization_bound = _lattice_quantum(dmat, n, resolution, max_bins)
+    def __init__(self, solution: CrdSolution, n: int, laws):
+        inst = solution.instance
+        pmf = inst.source.pmf
+        self.classes = [tuple(r) for r in np.argwhere(pmf > 0)]
+        probs = pmf[pmf > 0]
+        self.class_probs = probs / probs.sum()
+        self.n = n
+        dmat = inst.dist.d
+        self.q, self.quantization_bound = _lattice_quantum(dmat, n)
         self.kernels = []
-        for (x, _s), ydist in zip(class_symbols, class_ydists):
+        for x, s in self.classes:
+            ydist = laws[x, s]
             offs = np.rint(dmat[x] / self.q).astype(np.int64)
             keep = ydist > 0
             offs, p = offs[keep], ydist[keep]
@@ -402,27 +432,10 @@ class _DistortionConvolver:
             return 1.0
         return float(min(max(pmf[a:b + 1].sum(), 0.0), 1.0))
 
-
-def _active_classes(instance):
-    pmf = instance.source.pmf
-    xs = np.argwhere(pmf > 0)
-    probs = pmf[pmf > 0]
-    return [tuple(r) for r in xs], probs / probs.sum()
-
-
-def _excess_from_cover_prob(p, log_m):
-    """(1 - p)^M elementwise, with M = exp(log_m), in log space.
-
-    Cover probabilities below ~1e-300 short-circuit to a contribution of 1.
-    """
-    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
-    out = np.ones_like(p)
-    mid = (p > 0.0) & (p < 1.0)
-    with np.errstate(over="ignore"):
-        t = np.exp(log_m + np.log(-np.log1p(-p[mid])))
-    out[mid] = np.exp(-t)
-    out[p >= 1.0] = 0.0
-    return out
+    def trial_probs(self, rng, m, lo_value, hi_value):
+        """interval_prob for m source sequences drawn i.i.d. from the class law."""
+        counts = rng.multinomial(self.n, self.class_probs, size=m)
+        return np.array([self.interval_prob(c, lo_value, hi_value) for c in counts])
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +444,8 @@ def _excess_from_cover_prob(p, log_m):
 
 
 def simulate_random_code(query: FblQuery, solution: CrdSolution,
-                         trials: int, seed=0, chunk_size=_MC_CHUNK, threads: int = 1,
-                         resolution=DEFAULT_RESOLUTION, max_bins=MAX_BINS) -> BoundResult:
+                         trials: int, seed=0, chunk_size=_MC_CHUNK,
+                         threads: int = 1) -> BoundResult:
     """Monte-Carlo estimate of the random-coding achievability bound.
 
     Per trial, a source/side-information sequence is drawn from the product
@@ -443,16 +456,11 @@ def simulate_random_code(query: FblQuery, solution: CrdSolution,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    inst = solution.instance
     n, D = query.n, query.distortion
-    classes, class_probs = _active_classes(inst)
-    ydists = [solution.induced[s] for (_x, s) in classes]
-    conv = _DistortionConvolver(inst.dist.d, classes, ydists, n, resolution, max_bins)
+    conv = _DistortionConvolver(solution, n, _codeword_laws(solution))
 
     def trial_fn(rng, m):
-        counts = rng.multinomial(n, class_probs, size=m)
-        p = np.array([conv.interval_prob(c, 0.0, n * D) for c in counts])
-        return _excess_from_cover_prob(p, query.log_m)
+        return pow_one_minus(conv.trial_probs(rng, m, 0.0, n * D), query.log_m)
 
     est = chunked_monte_carlo(trials, seed, trial_fn, chunk_size=chunk_size,
                               threads=threads)
@@ -471,27 +479,23 @@ def _compositions(n, k):
             yield (head,) + rest
 
 
-def exact_random_code(query: FblQuery, solution: CrdSolution,
-                      resolution=DEFAULT_RESOLUTION, max_bins=MAX_BINS) -> float:
+def exact_random_code(query: FblQuery, solution: CrdSolution) -> float:
     """Exhaustive evaluation of the random-coding bound (small n only).
 
     Enumerates per-class letter counts (the sufficient statistic for every
     quantity involved) with exact multinomial weights.
     """
-    inst = solution.instance
     n, D = query.n, query.distortion
-    classes, class_probs = _active_classes(inst)
-    if len(class_probs) ** min(n, 8) > 10**8 and n > 16:
+    conv = _DistortionConvolver(solution, n, _codeword_laws(solution))
+    if len(conv.class_probs) ** min(n, 8) > 10**8 and n > 16:
         raise FblcrdError("exact enumeration is limited to small blocklengths")
-    ydists = [solution.induced[s] for (_x, s) in classes]
-    conv = _DistortionConvolver(inst.dist.d, classes, ydists, n, resolution, max_bins)
-    log_p = np.log(class_probs)
+    log_p = np.log(conv.class_probs)
     total = 0.0
-    for counts in _compositions(n, len(classes)):
+    for counts in _compositions(n, len(conv.classes)):
         m = np.array(counts)
         logw = gammaln(n + 1) - gammaln(m + 1).sum() + float(m @ log_p)
         p = conv.interval_prob(m, 0.0, n * D)
-        total += math.exp(logw) * float(_excess_from_cover_prob(np.array([p]), query.log_m)[0])
+        total += math.exp(logw) * float(pow_one_minus(p, query.log_m))
     return total
 
 
@@ -511,32 +515,20 @@ def exact_tilted_tail(field: TiltedField, n: int, thresholds) -> np.ndarray:
 
 def achievable_rate_estimate(solution: CrdSolution, n: int, eps: float,
                              trials: int, seed=0, chunk_size=_MC_CHUNK,
-                             distortion: float | None = None,
-                             resolution=DEFAULT_RESOLUTION, max_bins=MAX_BINS):
+                             distortion: float | None = None):
     """Smallest rate at which the simulated random-coding bound meets eps.
 
     The per-trial cover probabilities do not depend on the codebook size,
     so one batch of trials supports the whole bisection over ln M.
     Returns (rate, cover probabilities) for downstream error assessment.
     """
-    inst = solution.instance
     D = solution.target_distortion if distortion is None else distortion
-    classes, class_probs = _active_classes(inst)
-    ydists = [solution.induced[s] for (_x, s) in classes]
-    conv = _DistortionConvolver(inst.dist.d, classes, ydists, n, resolution, max_bins)
-
-    n_chunks = (trials + chunk_size - 1) // chunk_size
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [chunk_size] * (n_chunks - 1) + [trials - chunk_size * (n_chunks - 1)]
-    p_parts = []
-    for child, m in zip(children, sizes):
-        rng = np.random.default_rng(child)
-        counts = rng.multinomial(n, class_probs, size=m)
-        p_parts.append(np.array([conv.interval_prob(c, 0.0, n * D) for c in counts]))
-    p = np.concatenate(p_parts)
+    conv = _DistortionConvolver(solution, n, _codeword_laws(solution))
+    p = np.concatenate([conv.trial_probs(rng, m, 0.0, n * D)
+                        for rng, m in chunk_streams(trials, seed, chunk_size)])
 
     def eps_hat(log_m):
-        return float(_excess_from_cover_prob(p, log_m).mean())
+        return float(pow_one_minus(p, log_m).mean())
 
     lo, hi = 0.0, max(n * 1.0, 8.0)
     for _ in range(60):
@@ -560,8 +552,7 @@ def achievable_rate_estimate(solution: CrdSolution, n: int, eps: float,
 
 
 def default_forward_params(query: FblQuery, solution: CrdSolution,
-                           pilot: int = 128, seed=0,
-                           resolution=DEFAULT_RESOLUTION, max_bins=MAX_BINS) -> ForwardBoundParams:
+                           pilot: int = _PILOT, seed=0) -> ForwardBoundParams:
     """Parameter defaults: delta = D/100, beta = sqrt(n)/C, gamma = M/sqrt(n).
 
     C is calibrated per instance from the smallest distortion-window
@@ -569,15 +560,15 @@ def default_forward_params(query: FblQuery, solution: CrdSolution,
     sequences slightly colder than the pilot minimum still zero out the
     window term); any positive choice keeps the bound valid.
     """
+    conv = _DistortionConvolver(solution, query.n, solution.channel)
+    return _forward_params(query, conv, pilot, seed)
+
+
+def _forward_params(query, conv, pilot, seed):
     n, D = query.n, query.distortion
     delta = D / 100.0
-    inst = solution.instance
-    classes, class_probs = _active_classes(inst)
-    ydists = [solution.channel[x, s] for (x, s) in classes]
-    conv = _DistortionConvolver(inst.dist.d, classes, ydists, n, resolution, max_bins)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    counts = rng.multinomial(n, class_probs, size=pilot)
-    probs = np.array([conv.interval_prob(c, n * (D - delta), n * D) for c in counts])
+    probs = conv.trial_probs(rng, pilot, n * (D - delta), n * D)
     positive = probs[probs > 0]
     if positive.size == 0:
         beta = 1.0
@@ -589,36 +580,32 @@ def default_forward_params(query: FblQuery, solution: CrdSolution,
 
 
 def forward_bound(query: FblQuery, solution: CrdSolution, field: TiltedField,
-                  params: ForwardBoundParams | None = None,
-                  trials: int = 1024, seed=0, chunk_size=_MC_CHUNK, threads: int = 1,
-                  resolution=DEFAULT_RESOLUTION, max_bins=MAX_BINS) -> BoundResult:
+                  sums: SumDistribution, params: ForwardBoundParams | None = None,
+                  trials: int = 1024, seed=0, chunk_size=_MC_CHUNK,
+                  threads: int = 1) -> BoundResult:
     """Three-term achievability bound.
+
+    ``sums`` is the n-letter tilted-sum distribution of ``field``.
 
     T1: tail of the tilted-density sum above ln gamma - ln beta - n lam* delta.
     T2: E[|1 - beta Pr[D - delta <= d(X^n, Y^n) <= D | X^n]|^+] by Monte-Carlo
         over source sequences with the inner window probability exact.
     T3: exp(-M/gamma) E[min(1, gamma exp(-sum j))], exact.
     """
-    if params is None:
-        params = default_forward_params(query, solution, seed=seed,
-                                        resolution=resolution, max_bins=max_bins)
-    inst = solution.instance
+    _check_sums(sums, query.n)
     n, D = query.n, query.distortion
+    conv = _DistortionConvolver(solution, n, solution.channel)
+    if params is None:
+        params = _forward_params(query, conv, _PILOT, seed)
     lam = field.slope
 
-    dist = tilted_sum_distribution(field, n, resolution=resolution, max_bins=max_bins)
     threshold = params.log_gamma - math.log(params.beta) - n * lam * params.delta
-    t1 = dist.tail_ge(threshold)
+    t1 = sums.tail_ge(threshold)
 
-    classes, class_probs = _active_classes(inst)
-    ydists = [solution.channel[x, s] for (x, s) in classes]
-    conv = _DistortionConvolver(inst.dist.d, classes, ydists, n, resolution, max_bins)
     lo_val, hi_val = n * (D - params.delta), n * D
 
     def trial_fn(rng, m):
-        counts = rng.multinomial(n, class_probs, size=m)
-        p = np.array([conv.interval_prob(c, lo_val, hi_val) for c in counts])
-        return np.maximum(1.0 - params.beta * p, 0.0)
+        return np.maximum(1.0 - params.beta * conv.trial_probs(rng, m, lo_val, hi_val), 0.0)
 
     est = chunked_monte_carlo(trials, seed, trial_fn, chunk_size=chunk_size,
                               threads=threads)
@@ -628,13 +615,13 @@ def forward_bound(query: FblQuery, solution: CrdSolution, field: TiltedField,
     if m_over_gamma > 700.0:
         t3 = 0.0
     else:
-        t3 = math.exp(-math.exp(m_over_gamma)) * dist.expect_capped_exp(params.log_gamma)
+        t3 = math.exp(-math.exp(m_over_gamma)) * sums.expect_capped_exp(params.log_gamma)
 
     total = t1 + t2 + t3
     return BoundResult(value=min(max(total, 0.0), 1.0),
                        terms={"tail": t1, "window": t2, "codebook": t3},
                        mc_stderr=est.stderr,
-                       quantization_bound=max(dist.quantization_bound,
+                       quantization_bound=max(sums.quantization_bound,
                                               conv.quantization_bound))
 
 

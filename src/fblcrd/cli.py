@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -31,14 +30,14 @@ import numpy as np
 
 from . import __version__
 from .bounds import FblQuery, converse_lower, forward_bound, second_order_rate, \
-    simulate_random_code
+    simulate_random_code, tilted_sum_distribution
 from .coremath import LN2
 from .exceptions import ConvergenceError, InfeasibleDistortionError, ValidationError
 from .gaussian import GaussianModel, gaussian_converse_eps, gaussian_crd, \
     gaussian_second_order_rate, gaussian_simulate, sphere_cap_bound, \
     GAUSSIAN_DISPERSION
-from .markov import load_markov_model, markov_tilted_quantities, v_inf_spectral, \
-    v_n as ladder_v_n
+from .markov import load_markov_model, markov_second_order_rate, \
+    markov_tilted_quantities, v_inf_spectral, v_n as ladder_v_n
 from .solver import solve_crd
 from .source import load_model
 from .tilted import dispersion_v, tilted_density
@@ -166,23 +165,7 @@ def _run_fbl(args):
     u = _scale(args)
     sol = solve_crd(instance, args.D, tol=args.tol)
     field = tilted_density(sol)
-    rows = []
-    for n in args.n:
-        so_rate = second_order_rate(n, args.eps, sol.rate, field.variance)
-        query = FblQuery.from_rate(n, args.D, so_rate, eps=args.eps)
-        conv = converse_lower(query, field)
-        sim = simulate_random_code(query, sol, trials=args.trials,
-                                   seed=args.seed, threads=args.threads)
-        fwd = forward_bound(query, sol, field, trials=max(args.trials // 4, 64),
-                            seed=args.seed, threads=args.threads)
-        rows.append({
-            "n": n,
-            "second_order_rate": so_rate * u,
-            "converse_eps": conv.value,
-            "achievability_eps_mc": sim.value,
-            "achievability_stderr": sim.mc_stderr,
-            "forward_bound": fwd.value,
-        })
+    rows = [_fbl_row(args, sol, field, n, u) for n in args.n]
     provenance = {
         "n": "input list",
         "second_order_rate": "closed form R + sqrt(V/n) Qinv(eps)",
@@ -192,6 +175,26 @@ def _run_fbl(args):
         "forward_bound": "three-term bound; window term monte-carlo",
     }
     return rows, provenance
+
+
+def _fbl_row(args, sol, field, n, u):
+    """One fbl row; its n-letter tilted-sum distribution is freed on return."""
+    so_rate = second_order_rate(n, args.eps, sol.rate, field.variance)
+    query = FblQuery.from_rate(n, args.D, so_rate, eps=args.eps)
+    sums = tilted_sum_distribution(field, n)
+    conv = converse_lower(query, field, sums)
+    sim = simulate_random_code(query, sol, trials=args.trials,
+                               seed=args.seed, threads=args.threads)
+    fwd = forward_bound(query, sol, field, sums, trials=max(args.trials // 4, 64),
+                        seed=args.seed, threads=args.threads)
+    return {
+        "n": n,
+        "second_order_rate": so_rate * u,
+        "converse_eps": conv.value,
+        "achievability_eps_mc": sim.value,
+        "achievability_stderr": sim.mc_stderr,
+        "forward_bound": fwd.value,
+    }
 
 
 def _run_gaussian(args):
@@ -244,8 +247,8 @@ def _run_markov(args):
             "v_n": ladder_v_n(ladder, n) * u * u,
             "v_inf_ladder": ladder.v_inf * u * u,
             "v_inf_spectral": spectral * u * u,
-            "second_order_rate": (quantities.mu + math.sqrt(max(ladder.v_inf, 0.0) / n)
-                                  * _qinv(args.eps)) * u,
+            "second_order_rate": markov_second_order_rate(
+                model, args.D, n, args.eps, quantities=quantities) * u,
         })
     provenance = {
         "n": "input list",
@@ -257,11 +260,6 @@ def _run_markov(args):
         "second_order_rate": "mu + sqrt(v_inf/n) Qinv(eps)",
     }
     return rows, provenance
-
-
-def _qinv(eps):
-    from .coremath import gaussian_q_inv
-    return gaussian_q_inv(eps)
 
 
 def _format_value(value):

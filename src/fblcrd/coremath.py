@@ -109,14 +109,15 @@ def chi2_logpdf(k: int, x):
     half = 0.5 * k
     with np.errstate(divide="ignore", invalid="ignore"):
         logpdf = (half - 1.0) * np.log(x) - 0.5 * x - half * LN2 - _sp.gammaln(half)
-    logpdf = np.where(x < 0, -np.inf, logpdf)
-    # x == 0 boundary: density is 0 for k > 2, 1/2 for k == 2, +inf for k == 1.
-    if k == 2:
-        logpdf = np.where(x == 0, np.log(0.5), logpdf)
-    elif k > 2:
-        logpdf = np.where(x == 0, -np.inf, logpdf)
-    else:
-        logpdf = np.where(x == 0, np.inf, logpdf)
+    if np.any(x <= 0):   # skipped on the scalar quadrature hot path
+        logpdf = np.where(x < 0, -np.inf, logpdf)
+        # x == 0 boundary: density is 0 for k > 2, 1/2 for k == 2, +inf for k == 1.
+        if k == 2:
+            logpdf = np.where(x == 0, np.log(0.5), logpdf)
+        elif k > 2:
+            logpdf = np.where(x == 0, -np.inf, logpdf)
+        else:
+            logpdf = np.where(x == 0, np.inf, logpdf)
     return logpdf if logpdf.ndim else float(logpdf)
 
 
@@ -133,3 +134,15 @@ def chi2_cdf(k: int, x):
 def chi2_sf(k: int, x):
     """Central chi-square upper tail with k degrees of freedom."""
     return _sp.chdtrc(k, np.maximum(np.asarray(x, dtype=float), 0.0))
+
+
+def pow_one_minus(p, log_m):
+    """(1 - p)^M elementwise, with M = exp(log_m), in log space.
+
+    The miss probability of M independent tries that each succeed with
+    probability p; p is clipped to [0, 1], and p = 0 gives 1 and p = 1
+    gives 0 through the infinities of the logs.
+    """
+    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(-np.exp(log_m + np.log(-np.log1p(-p))))

@@ -26,9 +26,10 @@ import numpy as np
 from scipy import integrate
 from scipy.special import betainc, gammaln
 
-from .coremath import chi2_cdf, chi2_sf, gaussian_q_inv
+from .bounds import default_gamma_grid
+from .coremath import chi2_cdf, chi2_logpdf, chi2_sf, gaussian_q_inv, pow_one_minus
 from .exceptions import ConvergenceError, ValidationError
-from .mc import McEstimate, chunked_monte_carlo
+from .mc import McEstimate, chunk_streams, chunked_monte_carlo
 
 #: Dispersion of the Gaussian source with side information, in nats^2 per
 #: symbol; independent of both variances.
@@ -125,18 +126,12 @@ def tilted_density_samples(model: GaussianModel, count: int, seed=0,
     """
     rate = gaussian_crd(model)
     var = model.var_x_given_s
-    n_chunks = (count + chunk_size - 1) // chunk_size
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
     out = []
-    remaining = count
-    for child in children:
-        m = min(chunk_size, remaining)
-        rng = np.random.default_rng(child)
+    for rng, m in chunk_streams(count, seed, chunk_size):
         x = rng.standard_normal(m) * math.sqrt(model.var_x)
         z = rng.standard_normal(m) * math.sqrt(model.var_z)
         resid = x - model.mu(x + z)
         out.append(rate + (resid * resid / var - 1.0) / 2.0)
-        remaining -= m
     return np.concatenate(out)
 
 
@@ -185,8 +180,8 @@ def sphere_cap_bound(model: GaussianModel, n: int, log_m: float,
         with np.errstate(divide="ignore"):
             log_f = log_pref + 0.5 * (n - 1) * np.log(sin2)
         f = np.exp(log_f)
-        miss = _pow_one_minus(f, log_m)
-        return miss * np.exp(_chi2_logpdf_vec(n, w))
+        miss = pow_one_minus(f, log_m)
+        return miss * np.exp(chi2_logpdf(n, w))
 
     breakpoint_w = _covering_transition(n, model, log_m, w1, w2, log_pref)
     points = [breakpoint_w] if breakpoint_w is not None else None
@@ -202,24 +197,6 @@ def sphere_cap_bound(model: GaussianModel, n: int, log_m: float,
     if params.r1 > 0:
         tails += float(chi2_cdf(n, w1))
     return min(max(integral + tails, 0.0), 1.0)
-
-
-def _pow_one_minus(f, log_m):
-    """(1 - f)^M for f in [0, 1) with M = exp(log_m), stable for huge M."""
-    f = np.asarray(f, dtype=float)
-    out = np.ones_like(f)
-    pos = f > 0
-    with np.errstate(divide="ignore", over="ignore"):
-        t = np.exp(log_m + np.log(-np.log1p(-f[pos])))
-    out[pos] = np.exp(-t)
-    return out
-
-
-def _chi2_logpdf_vec(n, w):
-    w = np.asarray(w, dtype=float)
-    half = 0.5 * n
-    with np.errstate(divide="ignore"):
-        return (half - 1.0) * np.log(w) - 0.5 * w - half * math.log(2.0) - gammaln(half)
 
 
 def _covering_transition(n, model, log_m, w1, w2, log_pref):
@@ -282,7 +259,7 @@ def gaussian_simulate(model: GaussianModel, n: int, log_m: float, trials: int,
             inside = (xi > max(params.r1, 0.0)) & (xi < params.r2)
             cos = (xi[inside]**2 + params.r0**2 - n * D) / (2 * xi[inside] * params.r0)
             p = _exact_cap_fraction(cos, n)
-            out[inside] = _pow_one_minus(p, log_m)
+            out[inside] = pow_one_minus(p, log_m)
             if params.r1 < 0:
                 out[xi <= -params.r1] = 0.0
             return out
@@ -328,9 +305,8 @@ def gaussian_converse_eps(model: GaussianModel, n: int, log_m: float,
 
     if gamma is not None:
         return min(max(value(gamma), 0.0), 1.0)
-    scale = math.sqrt(n * GAUSSIAN_DISPERSION)
-    grid = [0.5 * math.log(n)] + [scale * 2.0**k for k in range(-4, 11)]
-    return min(max(max(value(g) for g in grid if g > 0), 0.0), 1.0)
+    grid = default_gamma_grid(n, GAUSSIAN_DISPERSION)
+    return min(max(max(value(g) for g in grid), 0.0), 1.0)
 
 
 def gaussian_second_order_rate(model: GaussianModel, n: int, eps: float) -> float:

@@ -26,6 +26,17 @@ class McEstimate:
     trials: int
 
 
+def chunk_streams(count: int, seed, chunk_size: int = DEFAULT_CHUNK):
+    """Yield (Generator, m) for each fixed-size chunk of count draws.
+
+    Every chunk holds chunk_size draws except the last, which holds the
+    rest; chunk i draws from the i-th substream spawned from the seed.
+    """
+    n_chunks = (count + chunk_size - 1) // chunk_size
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+        yield np.random.default_rng(child), min(chunk_size, count - i * chunk_size)
+
+
 def chunked_monte_carlo(trials: int, seed, trial_fn, chunk_size: int = DEFAULT_CHUNK,
                         threads: int = 1) -> McEstimate:
     """Estimate E[f] by averaging trial_fn(rng, m) -> array of m samples.
@@ -35,22 +46,20 @@ def chunked_monte_carlo(trials: int, seed, trial_fn, chunk_size: int = DEFAULT_C
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    n_chunks = (trials + chunk_size - 1) // chunk_size
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [chunk_size] * (n_chunks - 1) + [trials - chunk_size * (n_chunks - 1)]
+    chunks = list(chunk_streams(trials, seed, chunk_size))
 
     def run(args):
-        child, m = args
-        vals = np.asarray(trial_fn(np.random.default_rng(child), m), dtype=float)
+        rng, m = args
+        vals = np.asarray(trial_fn(rng, m), dtype=float)
         if vals.shape != (m,):
             raise ValueError("trial_fn must return one value per trial")
         return vals.sum(), (vals * vals).sum()
 
-    if threads > 1 and n_chunks > 1:
+    if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, zip(children, sizes)))
+            partials = list(pool.map(run, chunks))
     else:
-        partials = [run(args) for args in zip(children, sizes)]
+        partials = [run(args) for args in chunks]
 
     total = 0.0
     total_sq = 0.0

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
+from .mc import chunk_streams
 
 #: Probabilities below this are treated as structural zeros and removed
 #: from supports, so downstream log-densities never see them.
@@ -206,16 +207,8 @@ def sample_iid(instance, n: int, seed, chunk_size: int = DEFAULT_CHUNK) -> Seque
     instance = validate(instance) if isinstance(instance, Instance) else instance
     src = instance.source if isinstance(instance, Instance) else instance
     flat = src.pmf.ravel()
-    n_chunks = (n + chunk_size - 1) // chunk_size
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    parts = []
-    remaining = n
-    for child in children:
-        m = min(chunk_size, remaining)
-        rng = np.random.default_rng(child)
-        parts.append(rng.choice(flat.size, size=m, p=flat))
-        remaining -= m
-    idx = np.concatenate(parts)
+    idx = np.concatenate([rng.choice(flat.size, size=m, p=flat)
+                          for rng, m in chunk_streams(n, seed, chunk_size)])
     return SequencePair(x=idx // src.s_size, s=idx % src.s_size)
 
 

@@ -111,7 +111,7 @@ def test_acceptance_5_sandwich_at_desk_scale():
     gaps = []
     lines = []
     for n in (200, 500, 1000, 2000):
-        r_conv = f.converse_rate_bound(field, n, EPS)
+        r_conv = f.converse_rate_bound(field, f.tilted_sum_distribution(field, n), EPS)
         r_ach, _ = f.achievable_rate_estimate(sol, n, EPS, trials=2500, seed=n)
         r_star = f.second_order_rate(n, EPS, sol.rate, field.variance)
         window = 8.0 * math.log(n) / math.sqrt(n)

@@ -97,13 +97,15 @@ class TestConverse:
     def test_huge_codebook_is_vacuous(self, binary_pieces):
         inst, sol, field = binary_pieces
         query = f.FblQuery(n=50, distortion=0.1, log_m=50 * 10.0)
-        assert f.converse_lower(query, field).value == 0.0
+        sums = f.tilted_sum_distribution(field, query.n)
+        assert f.converse_lower(query, field, sums).value == 0.0
 
     def test_single_letter_enumeration(self, binary_pieces):
         inst, sol, field = binary_pieces
         # n = 1, M = 1, gamma = ln 2: bound = Pr[j >= ln 2] - 1/2 exactly
         query = f.FblQuery(n=1, distortion=0.1, log_m=0.0)
-        bound = f.converse_lower(query, field, gamma=math.log(2.0))
+        bound = f.converse_lower(query, field, f.tilted_sum_distribution(field, 1),
+                                 gamma=math.log(2.0))
         pmf = inst.source.pmf
         tail = float(pmf[field.table >= math.log(2.0)].sum())
         assert bound.tail == pytest.approx(tail, abs=1e-12)
@@ -115,7 +117,8 @@ class TestConverse:
         gamma = math.log(math.sqrt(n))
         rate = f.second_order_rate(n, eps, sol.rate, field.variance)
         query = f.FblQuery.from_rate(n, 0.1, rate, eps=eps)
-        bound = f.converse_lower(query, field, gamma=gamma)
+        bound = f.converse_lower(query, field, f.tilted_sum_distribution(field, n),
+                                 gamma=gamma)
         sigma = math.sqrt(n * field.variance)
         b_n = 6.0 * field.third_abs / field.variance ** 1.5
         center = f.gaussian_q(f.gaussian_q_inv(eps) + gamma / sigma) - math.exp(-gamma)
@@ -125,11 +128,18 @@ class TestConverse:
     def test_nonincreasing_in_codebook_size(self, binary_pieces):
         inst, sol, field = binary_pieces
         n = 200
+        sums = f.tilted_sum_distribution(field, n)
         values = []
         for rate in (0.15, 0.18, 0.21, 0.24):
             query = f.FblQuery.from_rate(n, 0.1, rate)
-            values.append(f.converse_lower(query, field).value)
+            values.append(f.converse_lower(query, field, sums).value)
         assert all(a >= b - 1e-12 for a, b in zip(values[:-1], values[1:]))
+
+    def test_rejects_sums_for_another_blocklength(self, binary_pieces):
+        inst, sol, field = binary_pieces
+        query = f.FblQuery.from_rate(50, 0.1, 0.2)
+        with pytest.raises(ValueError, match="n = 49"):
+            f.converse_lower(query, field, f.tilted_sum_distribution(field, 49))
 
     def test_default_grid_includes_half_log_n(self):
         grid = f.bounds.default_gamma_grid(400, 0.3)
@@ -193,14 +203,16 @@ class TestForwardBound:
         n = 400
         rate = f.second_order_rate(n, 0.1, sol.rate, field.variance)
         query = f.FblQuery.from_rate(n, 0.1, rate, eps=0.1)
-        res = f.forward_bound(query, sol, field, trials=512, seed=6)
+        sums = f.tilted_sum_distribution(field, n)
+        res = f.forward_bound(query, sol, field, sums, trials=512, seed=6)
         assert res.terms["window"] == 0.0
 
     def test_dominates_simulation(self, binary_pieces):
         inst, sol, field = binary_pieces
         for n, rate in ((100, 0.22), (200, 0.21), (400, 0.20)):
             query = f.FblQuery.from_rate(n, 0.1, rate, eps=0.1)
-            fwd = f.forward_bound(query, sol, field, trials=256, seed=7)
+            sums = f.tilted_sum_distribution(field, n)
+            fwd = f.forward_bound(query, sol, field, sums, trials=256, seed=7)
             sim = f.simulate_random_code(query, sol, trials=1500, seed=8)
             assert fwd.value >= sim.value - 3.0 * sim.mc_stderr
 
@@ -210,13 +222,22 @@ class TestForwardBound:
         query = f.FblQuery.from_rate(n, 0.1, 0.25, eps=0.1)
         params = f.ForwardBoundParams(log_gamma=query.log_m + 200.0, beta=1.0,
                                       delta=0.001)
-        res = f.forward_bound(query, sol, field, params=params, trials=256, seed=9)
+        sums = f.tilted_sum_distribution(field, n)
+        res = f.forward_bound(query, sol, field, sums, params=params, trials=256,
+                              seed=9)
         # with gamma astronomically large the tail term dies and the
         # codebook term approaches exp(-M/gamma) <= 1
         assert res.terms["tail"] == 0.0
         assert res.terms["codebook"] <= 1.0
         assert res.value == pytest.approx(
             min(res.terms["window"] + res.terms["codebook"], 1.0), abs=1e-12)
+
+    def test_rejects_sums_for_another_blocklength(self, binary_pieces):
+        inst, sol, field = binary_pieces
+        query = f.FblQuery.from_rate(50, 0.1, 0.2, eps=0.1)
+        with pytest.raises(ValueError, match="n = 51"):
+            f.forward_bound(query, sol, field, f.tilted_sum_distribution(field, 51),
+                            trials=64)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -248,7 +269,7 @@ class TestImpliedRates:
         inst, sol, field = binary_pieces
         eps = 0.1
         for n in (200, 500):
-            r_conv = f.converse_rate_bound(field, n, eps)
+            r_conv = f.converse_rate_bound(field, f.tilted_sum_distribution(field, n), eps)
             r_ach, _ = f.achievable_rate_estimate(sol, n, eps, trials=1500, seed=13)
             r_star = f.second_order_rate(n, eps, sol.rate, field.variance)
             assert r_conv <= r_ach
@@ -264,9 +285,10 @@ def test_random_instance_bounds_are_probabilities():
     field = f.tilted_density(sol)
     rate = f.second_order_rate(64, 0.2, sol.rate, field.variance)
     query = f.FblQuery.from_rate(64, budget, rate, eps=0.2)
-    conv = f.converse_lower(query, field)
+    sums = f.tilted_sum_distribution(field, 64)
+    conv = f.converse_lower(query, field, sums)
     sim = f.simulate_random_code(query, sol, trials=400, seed=14)
-    fwd = f.forward_bound(query, sol, field, trials=128, seed=15)
+    fwd = f.forward_bound(query, sol, field, sums, trials=128, seed=15)
     for value in (conv.value, sim.value, fwd.value):
         assert 0.0 <= value <= 1.0
     assert all(t >= 0.0 for t in fwd.terms.values())

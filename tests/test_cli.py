@@ -126,6 +126,26 @@ class TestFbl:
         assert doc["config"]["trials"] == 200
         assert set(doc["provenance"]) == set(doc["rows"][0])
 
+    def test_tilted_sum_built_once_per_blocklength(self, tmp_path, capsys, monkeypatch):
+        doc = {"x_size": 3, "s_size": 1, "y_size": 3,
+               "pmf": [[0.5], [0.3], [0.2]],
+               "d": [[abs(x - y) for y in range(3)] for x in range(3)]}
+        path = tmp_path / "ternary.json"
+        path.write_text(json.dumps(doc))
+        calls = []
+        original = f.bounds.sum_distribution
+
+        def counting(values, probs, n, *args, **kwargs):
+            calls.append(n)
+            return original(values, probs, n, *args, **kwargs)
+
+        monkeypatch.setattr(f.bounds, "sum_distribution", counting)
+        code, _, _ = run_cli(["fbl", "--model", str(path), "--D", "0.3",
+                              "--eps", "0.1", "--n", "20,40", "--trials", "64",
+                              "--threads", "1"], capsys)
+        assert code == EXIT_OK
+        assert calls == [20, 40]
+
 
 class TestGaussian:
     def test_closed_forms_in_output(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,3 +143,24 @@ def test_chi2_logpdf_large_dof_finite():
 def test_chi2_invalid_dof():
     with pytest.raises(ValueError):
         f.chi2_pdf(0, 1.0)
+
+
+def test_pow_one_minus_endpoints():
+    out = f.pow_one_minus(np.array([0.0, 1.0]), math.log(5.0))
+    assert out.tolist() == [1.0, 0.0]
+
+
+def test_pow_one_minus_huge_codebook_is_finite_and_quiet():
+    p = np.array([1e-300, 1e-200, 1e-12, 0.3, 0.999])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = f.pow_one_minus(p, 800.0)
+    assert np.all(np.isfinite(out))
+    assert np.all((out >= 0.0) & (out <= 1.0))
+
+
+def test_pow_one_minus_matches_direct_power_for_small_m():
+    p = np.array([1e-6, 0.01, 0.25, 0.5, 0.9])
+    for m in (1, 2, 7, 40):
+        assert f.pow_one_minus(p, math.log(m)) == pytest.approx((1.0 - p) ** m,
+                                                                rel=1e-12)
