@@ -62,8 +62,29 @@ def _parse_grid(text: str):
     return [float(v) for v in text.split(",") if v]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 def _parse_int_list(text: str):
-    return [int(v) for v in text.split(",") if v]
+    return [_positive_int(v) for v in text.split(",") if v]
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="worker threads for Monte-Carlo chunks; results "
                              "do not depend on this")
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=_positive_float, default=1e-9,
                         help="solver primal-dual gap tolerance")
     common.add_argument("--bits", action="store_true",
                         help="report information columns in bits instead of nats")
@@ -97,25 +118,25 @@ def build_parser() -> argparse.ArgumentParser:
                            help="finite-blocklength bounds at a target eps")
     p_fbl.add_argument("--model", required=True)
     p_fbl.add_argument("--D", required=True, type=float)
-    p_fbl.add_argument("--eps", required=True, type=float)
+    p_fbl.add_argument("--eps", required=True, type=_probability)
     p_fbl.add_argument("--n", required=True, type=_parse_int_list,
                        help="comma-separated blocklengths")
-    p_fbl.add_argument("--trials", type=int, default=2000)
+    p_fbl.add_argument("--trials", type=_positive_int, default=2000)
 
     p_g = sub.add_parser("gaussian", parents=[common],
                          help="jointly Gaussian source quantities and bounds")
     p_g.add_argument("--var-x", required=True, type=float)
     p_g.add_argument("--var-z", required=True, type=float)
     p_g.add_argument("--D", required=True, type=float)
-    p_g.add_argument("--eps", required=True, type=float)
+    p_g.add_argument("--eps", required=True, type=_probability)
     p_g.add_argument("--n", required=True, type=_parse_int_list)
-    p_g.add_argument("--trials", type=int, default=4000)
+    p_g.add_argument("--trials", type=_positive_int, default=4000)
 
     p_m = sub.add_parser("markov", parents=[common],
                          help="Markov source second-order quantities")
     p_m.add_argument("--model", required=True)
     p_m.add_argument("--D", required=True, type=float)
-    p_m.add_argument("--eps", required=True, type=float)
+    p_m.add_argument("--eps", required=True, type=_probability)
     p_m.add_argument("--n", required=True, type=_parse_int_list)
 
     return parser
@@ -160,8 +181,6 @@ def _run_rd_curve(args):
 
 def _run_fbl(args):
     instance = load_model(args.model)
-    if args.trials < 1:
-        raise ValidationError("trials must be >= 1")
     u = _scale(args)
     sol = solve_crd(instance, args.D, tol=args.tol)
     field = tilted_density(sol)
@@ -199,8 +218,6 @@ def _fbl_row(args, sol, field, n, u):
 
 def _run_gaussian(args):
     model = GaussianModel(var_x=args.var_x, var_z=args.var_z, distortion=args.D)
-    if args.trials < 1:
-        raise ValidationError("trials must be >= 1")
     u = _scale(args)
     rate = gaussian_crd(model)
     rows = []

@@ -1,18 +1,22 @@
 """Conditional rate-distortion solver.
 
 Computes R(X;D|S) = min I(X;Y|S) over test channels P_{Y|XS} meeting an
-expected-distortion budget, two ways:
+expected-distortion budget.  One slope search finds the solution:
+alternating minimization over the joint channel tensor with a single
+Lagrange multiplier (slope) on the joint distortion constraint, wrapped in
+an outer bisection that drives the achieved distortion to the budget.  The
+Lagrangian separates over side-information states, so the per-state
+distortions of that solution are the equal-slope allocation of
+R(X;D|S) = sum_s P_S(s) R_{X|S=s}(d_s).
 
-* ``direct`` — alternating minimization over the joint channel tensor with
-  a single Lagrange multiplier (slope) on the joint distortion constraint,
-  wrapped in an outer bisection that drives the achieved distortion to the
-  budget.
-* ``decomposed`` — per-state rate-distortion curves combined through a
-  convex distortion allocation across side-information states; at the
-  optimum every interior state shares a common slope.
+``solve_crd`` reports the rate by two routes:
 
-Both routes are exposed and must agree; the default entry point runs both
-and cross-checks them.
+* ``direct`` — the weighted rate of the joint solution.
+* ``decomposed`` — each state's rate-distortion function solved on its own
+  at its allocated distortion, then weighted by P_S.
+
+The default runs both and cross-checks them; the decomposed route alone
+takes its allocation from the same slope search at a relaxed certificate.
 
 The inner alternating minimization carries a primal-dual certificate: for
 the output-marginal iterate q, the multiplicative update factor kappa
@@ -32,6 +36,8 @@ from .source import DistortionSpec, Instance, JointSource, validate
 
 _TINY = 1e-300
 _MAX_SLOPE = float(2.0**60)
+_MAX_ITER = 400_000
+_ALLOCATION_GAP_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +185,7 @@ def _newton_polish(cond, A, q, kappa, gap_tol):
     return q
 
 
-def _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=1e-12, max_iter=400_000):
+def _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=1e-12):
     """Alternating minimization at fixed slope lam >= 0.
 
     cond [S,X] holds P(x|s) rows, w [S] the state weights, dmat [X,Y] the
@@ -197,8 +203,7 @@ def _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=1e-12, max_iter=400_0
     """
     spread = float((dmat.max(axis=1) - dmat.min(axis=1)).max())
     if lam * spread > 400.0:
-        return _lagrangian_solve_log(cond, w, dmat, lam, q0=q0, gap_tol=gap_tol,
-                                     max_iter=max_iter)
+        return _lagrangian_solve_log(cond, w, dmat, lam, q0=q0, gap_tol=gap_tol)
     n_s, n_x = cond.shape
     n_y = dmat.shape[1]
     A = np.exp(-lam * (dmat - dmat.min(axis=1, keepdims=True)))
@@ -217,7 +222,7 @@ def _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=1e-12, max_iter=400_0
     hist_gap = None
     newton_attempts = 0
     c, kappa, gap = certify(q)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if gap <= gap_tol:
             break
         if it % horizon == 0:
@@ -264,12 +269,11 @@ def _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=1e-12, max_iter=400_0
         q /= q.sum(axis=1, keepdims=True)
         c, kappa, gap = certify(q)
     else:
-        it = max_iter
+        it = _MAX_ITER
     if gap > gap_tol and q0 is not None:
         # a polluted warm start can pin the iteration at a certificate
         # floor that a fresh start sails below
-        return _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=gap_tol,
-                                 max_iter=max_iter)
+        return _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=gap_tol)
     channel = q[:, None, :] * A[None, :, :] / c[:, :, None]
     induced = q * kappa
     induced /= induced.sum(axis=1, keepdims=True)
@@ -281,8 +285,7 @@ def _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=1e-12, max_iter=400_0
     )
 
 
-def _lagrangian_solve_log(cond, w, dmat, lam, q0=None, gap_tol=1e-12,
-                          max_iter=400_000):
+def _lagrangian_solve_log(cond, w, dmat, lam, q0=None, gap_tol=1e-12):
     """Log-domain twin of the fixed-slope iteration, for very steep slopes."""
     n_s, n_x = cond.shape
     n_y = dmat.shape[1]
@@ -305,7 +308,7 @@ def _lagrangian_solve_log(cond, w, dmat, lam, q0=None, gap_tol=1e-12,
     prev_gap = None
     hist_gap = None
     log_c, log_kappa, gap = certify(log_q)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if gap <= gap_tol:
             break
         if it % horizon == 0:
@@ -336,10 +339,9 @@ def _lagrangian_solve_log(cond, w, dmat, lam, q0=None, gap_tol=1e-12,
         log_q -= _logsumexp(log_q, axis=1)
         log_c, log_kappa, gap = certify(log_q)
     else:
-        it = max_iter
+        it = _MAX_ITER
     if gap > gap_tol and q0 is not None:
-        return _lagrangian_solve_log(cond, w, dmat, lam, q0=None,
-                                     gap_tol=gap_tol, max_iter=max_iter)
+        return _lagrangian_solve_log(cond, w, dmat, lam, q0=None, gap_tol=gap_tol)
     channel = np.exp(log_q[:, None, :] + log_a[None, :, :] - log_c[:, :, None])
     channel /= channel.sum(axis=2, keepdims=True)
     induced = np.exp(log_q + log_kappa)
@@ -409,7 +411,7 @@ def _mix(sol_lo, sol_hi, cond, target_total, w):
     )
 
 
-def _bisect_slope(cond, w, dmat, target, gap_tol, slope_hint=None, max_iter=400_000):
+def _bisect_slope(cond, w, dmat, target, gap_tol, slope_hint=None):
     """Outer slope search: find lam with achieved distortion = target.
 
     The achieved distortion of the fixed-slope solution is nonincreasing in
@@ -432,14 +434,13 @@ def _bisect_slope(cond, w, dmat, target, gap_tol, slope_hint=None, max_iter=400_
     if slope_hint and slope_hint > 0:
         # a trusted hint usually brackets the answer within a few percent
         cand_hi = slope_hint * 1.05
-        sol = _lagrangian_solve(cond, w, dmat, cand_hi, gap_tol=search_gap,
-                                max_iter=max_iter)
+        sol = _lagrangian_solve(cond, w, dmat, cand_hi, gap_tol=search_gap)
         q_warm = sol.q
         if float(w @ sol.dist_s) <= target_total:
             hi, sol_hi = cand_hi, sol
             cand_lo = slope_hint / 1.05
             sol2 = _lagrangian_solve(cond, w, dmat, cand_lo, q0=q_warm,
-                                     gap_tol=search_gap, max_iter=max_iter)
+                                     gap_tol=search_gap)
             if float(w @ sol2.dist_s) > target_total:
                 lo, sol_lo = cand_lo, sol2
             else:
@@ -448,8 +449,7 @@ def _bisect_slope(cond, w, dmat, target, gap_tol, slope_hint=None, max_iter=400_
             lo, sol_lo = cand_hi, sol
     lam = max(4.0 * lo, lo + 1.0) if hi is None else 0.0
     while hi is None and lam <= _MAX_SLOPE:
-        sol = _lagrangian_solve(cond, w, dmat, lam, q0=q_warm, gap_tol=search_gap,
-                                max_iter=max_iter)
+        sol = _lagrangian_solve(cond, w, dmat, lam, q0=q_warm, gap_tol=search_gap)
         q_warm = sol.q
         if float(w @ sol.dist_s) <= target_total:
             hi, sol_hi = lam, sol
@@ -463,24 +463,22 @@ def _bisect_slope(cond, w, dmat, target, gap_tol, slope_hint=None, max_iter=400_
             gap=float(w @ sol_lo.dist_s) - target,
         )
     lo, sol_lo, hi, sol_hi = _refine_bracket(
-        cond, w, dmat, target_total, lo, sol_lo, hi, sol_hi, q_warm,
-        search_gap, max_iter)
+        cond, w, dmat, target_total, lo, sol_lo, hi, sol_hi, q_warm, search_gap)
 
     if gap_tol < search_gap:
         # both endpoints can carry nontrivial mixture weight once the
         # bracket has collapsed, so both must hold the full certificate
         hi, sol_hi = _tight_side(cond, w, dmat, hi, sol_hi.q, target_total,
-                                 "hi", gap_tol, max_iter, zero)
+                                 "hi", gap_tol, zero)
         lo, sol_lo = _tight_side(cond, w, dmat, lo, sol_lo.q, target_total,
-                                 "lo", gap_tol, max_iter, zero)
+                                 "lo", gap_tol, zero)
         # if certifying the sides widened the slope bracket, shrink it
         # back so the final mixture interpolates a short chord
         for _ in range(80):
             if hi - lo <= 3e-11 * (1.0 + hi):
                 break
             mid = 0.5 * (lo + hi)
-            sol = _lagrangian_solve(cond, w, dmat, mid, q0=sol_hi.q,
-                                    gap_tol=gap_tol, max_iter=max_iter)
+            sol = _lagrangian_solve(cond, w, dmat, mid, q0=sol_hi.q, gap_tol=gap_tol)
             if float(w @ sol.dist_s) <= target_total:
                 hi, sol_hi = mid, sol
             else:
@@ -488,8 +486,7 @@ def _bisect_slope(cond, w, dmat, target, gap_tol, slope_hint=None, max_iter=400_
     return _mix(sol_lo, sol_hi, cond, target_total, w)
 
 
-def _refine_bracket(cond, w, dmat, target, lo, sol_lo, hi, sol_hi, q_warm,
-                    gap_tol, max_iter):
+def _refine_bracket(cond, w, dmat, target, lo, sol_lo, hi, sol_hi, q_warm, gap_tol):
     """Shrink a slope bracket around the distortion target.
 
     Interleaves secant (false-position) steps with plain halving; the
@@ -511,8 +508,7 @@ def _refine_bracket(cond, w, dmat, target, lo, sol_lo, hi, sol_hi, q_warm,
             width = hi - lo
             secant = min(max(secant, lo + 0.01 * width), hi - 0.01 * width)
             mid = secant
-        sol = _lagrangian_solve(cond, w, dmat, mid, q0=q_warm, gap_tol=gap_tol,
-                                max_iter=max_iter)
+        sol = _lagrangian_solve(cond, w, dmat, mid, q0=q_warm, gap_tol=gap_tol)
         q_warm = sol.q
         achieved = float(w @ sol.dist_s)
         if abs(achieved - target) <= atol:
@@ -524,7 +520,7 @@ def _refine_bracket(cond, w, dmat, target, lo, sol_lo, hi, sol_hi, q_warm,
     return lo, sol_lo, hi, sol_hi
 
 
-def _tight_side(cond, w, dmat, lam, q_warm, target, side, gap_tol, max_iter, zero):
+def _tight_side(cond, w, dmat, lam, q_warm, target, side, gap_tol, zero):
     """Certify a bracket endpoint at full tolerance on its required side.
 
     The relaxed search phase can misjudge a side near a corner or a linear
@@ -535,8 +531,7 @@ def _tight_side(cond, w, dmat, lam, q_warm, target, side, gap_tol, max_iter, zer
     """
     if side == "lo" and lam <= 0.0:
         return 0.0, zero
-    sol = _lagrangian_solve(cond, w, dmat, lam, q0=q_warm, gap_tol=gap_tol,
-                            max_iter=max_iter)
+    sol = _lagrangian_solve(cond, w, dmat, lam, q0=q_warm, gap_tol=gap_tol)
 
     def ok(s):
         d = float(w @ s.dist_s)
@@ -553,8 +548,7 @@ def _tight_side(cond, w, dmat, lam, q_warm, target, side, gap_tol, max_iter, zer
             if lam <= 0.0:
                 return 0.0, zero
         step *= 4.0
-        sol = _lagrangian_solve(cond, w, dmat, lam, q0=sol.q, gap_tol=gap_tol,
-                                max_iter=max_iter)
+        sol = _lagrangian_solve(cond, w, dmat, lam, q0=sol.q, gap_tol=gap_tol)
     raise ConvergenceError(
         f"could not certify a {side}-side solution at the distortion target {target!r}",
         gap=float(w @ sol.dist_s) - target,
@@ -627,93 +621,15 @@ def solve_rd_per_state(px, dist, target_d: float, tol: float = 1e-9,
 class PerStateCurve:
     """Lazy handle on the rate-distortion curve of one conditional source."""
 
-    def __init__(self, px, dist: DistortionSpec, gap_tol: float = 1e-12):
+    def __init__(self, px, dist: DistortionSpec):
         self.px = np.asarray(px, dtype=float)
         self.px = self.px / self.px.sum()
         self.dist = dist
-        self.gap_tol = gap_tol
         self.floor = float(self.px @ dist.row_min)
         self.zero_rate_distortion = float((self.px @ dist.d).min())
-        self._cond = self.px[None, :]
-        self._w = np.ones(1)
-        self._warm = None
-
-    def distortion_at_slope(self, lam: float) -> float:
-        """Distortion of the slope-lam point on the curve (nonincreasing in lam)."""
-        if lam <= 0.0:
-            return self.zero_rate_distortion
-        sol = _lagrangian_solve(self._cond, self._w, self.dist.d, lam,
-                                q0=self._warm, gap_tol=self.gap_tol)
-        self._warm = sol.q
-        return float(sol.dist_s[0])
 
     def rate_at(self, d: float, tol: float = 1e-9) -> float:
         return solve_rd_per_state(self.px, self.dist, d, tol=tol).rate
-
-
-def _allocate_batched(cond, w, dmat, D, slope_hint=None, gap_tol=1e-9):
-    """Equal-slope allocation over already-active states, batched per slope.
-
-    All states share the candidate slope, so each probe is one fixed-slope
-    solve over the stacked state tensor.  Returns (d_s over active states,
-    common slope).
-    """
-    zero = _zero_rate_solution(cond, dmat)
-    zr = zero.dist_s
-    floor = np.einsum("sx,x->s", cond, dmat.min(axis=1))
-    if D < float(w @ floor) - 1e-12:
-        raise InfeasibleDistortionError(
-            f"aggregate target {D!r} is below the weighted floor {float(w @ floor)!r}"
-        )
-    total_zr = float(w @ zr)
-    if D >= total_zr - 1e-12 * max(1.0, total_zr):
-        return zr + (D - total_zr), 0.0
-
-    lo, sol_lo = 0.0, zero
-    lam = slope_hint if slope_hint and slope_hint > 0 else 1.0
-    q_warm = None
-    sol_hi = None
-    hi = None
-    while lam <= _MAX_SLOPE:
-        sol = _lagrangian_solve(cond, w, dmat, lam, q0=q_warm, gap_tol=gap_tol)
-        q_warm = sol.q
-        if float(w @ sol.dist_s) <= D:
-            hi, sol_hi = lam, sol
-            break
-        lo, sol_lo = lam, sol
-        lam *= 4.0
-    if hi is None:
-        raise ConvergenceError("distortion allocation slope search exhausted")
-    lo, sol_lo, hi, sol_hi = _refine_bracket(cond, w, dmat, D, lo, sol_lo,
-                                             hi, sol_hi, q_warm, gap_tol, 400_000)
-    a_lo, a_hi = sol_lo.dist_s, sol_hi.dist_s
-    tot_lo, tot_hi = float(w @ a_lo), float(w @ a_hi)
-    alpha = (D - tot_hi) / (tot_lo - tot_hi) if tot_lo - tot_hi > 1e-300 else 0.5
-    alpha = min(max(alpha, 0.0), 1.0)
-    return alpha * a_lo + (1.0 - alpha) * a_hi, 0.5 * (lo + hi)
-
-
-def _allocate(curves, p_s, D, slope_hint=None):
-    """Equal-slope distortion allocation; returns (d_s, common slope).
-
-    States with zero probability are excluded from the objective and pinned
-    at their rate-zero distortion.
-    """
-    p_s = np.asarray(p_s, dtype=float)
-    active = np.flatnonzero(p_s > 0)
-    if active.size == 0:
-        raise ValueError("no states with positive probability")
-    if len({c.dist.y_size for c in curves}) != 1:
-        raise ValueError("all per-state curves must share one reproduction alphabet")
-    w = p_s[active] / p_s[active].sum()
-    cond = np.stack([curves[s].px for s in active])
-    dmat = curves[active[0]].dist.d
-    gap_tol = max(c.gap_tol for c in curves)
-    d_s = np.array([c.zero_rate_distortion for c in curves])
-    d_active, lam = _allocate_batched(cond, w, dmat, D, slope_hint=slope_hint,
-                                      gap_tol=gap_tol)
-    d_s[active] = d_active
-    return d_s, lam
 
 
 def allocate_distortion(per_state_curves, p_s, D: float) -> np.ndarray:
@@ -721,8 +637,30 @@ def allocate_distortion(per_state_curves, p_s, D: float) -> np.ndarray:
 
     All states with interior allocations share a common slope at the
     optimum; the aggregate constraint sum_s P_S(s) d_s = D holds exactly.
+    States with zero probability are excluded from the objective and pinned
+    at their rate-zero distortion.
     """
-    d_s, _ = _allocate(per_state_curves, p_s, D)
+    p_s = np.asarray(p_s, dtype=float)
+    active = np.flatnonzero(p_s > 0)
+    if active.size == 0:
+        raise ValueError("no states with positive probability")
+    if len({c.dist.y_size for c in per_state_curves}) != 1:
+        raise ValueError("all per-state curves must share one reproduction alphabet")
+    w = p_s[active] / p_s[active].sum()
+    cond = np.stack([per_state_curves[s].px for s in active])
+    dmat = per_state_curves[active[0]].dist.d
+    floor = float(w @ (cond @ dmat.min(axis=1)))
+    if D < floor - 1e-12:
+        raise InfeasibleDistortionError(
+            f"aggregate target {D!r} is below the weighted floor {floor!r}"
+        )
+    d_s = np.array([c.zero_rate_distortion for c in per_state_curves])
+    zr = (cond @ dmat).min(axis=1)
+    total_zr = float(w @ zr)
+    if D >= total_zr - 1e-12 * max(1.0, total_zr):
+        d_s[active] = zr + (D - total_zr)
+    else:
+        d_s[active] = _bisect_slope(cond, w, dmat, D, _ALLOCATION_GAP_TOL).dist_s
     return d_s
 
 
@@ -767,9 +705,12 @@ def solve_crd(instance, D: float, tol: float = 1e-9, method: str = "both",
               dist: DistortionSpec | None = None) -> CrdSolution:
     """Solve min I(X;Y|S) subject to E[d(X,Y)] <= D.
 
-    method selects "direct" (joint alternating minimization), "decomposed"
-    (per-state curves plus distortion allocation), or "both" (default; the
-    two routes must agree within 10*tol).
+    One equal-slope search over the joint channel tensor yields the solution
+    and its per-state distortion allocation.  method selects the rate
+    reported: "direct" (the joint solution's weighted rate), "decomposed"
+    (each state's rate-distortion function re-solved at its allocated
+    distortion), or "both" (default; the two routes must agree within
+    10*tol).
     """
     instance = validate(instance, dist)
     if tol <= 0:
@@ -790,33 +731,27 @@ def solve_crd(instance, D: float, tol: float = 1e-9, method: str = "both",
     cond = src.cond_x_given_s[:, kept].T.copy()   # [S_kept, X]
     gap_tol = max(tol / 1000.0, 1e-13)
 
-    res_a = None
     rate_by_method = {}
-    if method in ("direct", "both"):
-        res_a = _bisect_slope(cond, w, dspec.d, D, gap_tol)
-        if res_a.gap > tol:
+    if method == "decomposed":
+        # only the allocation is read from this search, so it runs at a
+        # relaxed certificate; the per-state solves below run at the full one
+        joint = _bisect_slope(cond, w, dspec.d, D, max(gap_tol, 1e-9))
+    else:
+        joint = _bisect_slope(cond, w, dspec.d, D, gap_tol)
+        if joint.gap > tol:
             raise ConvergenceError(
-                f"joint minimization stalled with certificate gap {res_a.gap:g}",
-                gap=res_a.gap,
+                f"joint minimization stalled with certificate gap {joint.gap:g}",
+                gap=joint.gap,
             )
-        rate_by_method["direct"] = float(w @ res_a.rate_s)
+        rate_by_method["direct"] = float(w @ joint.rate_s)
+    allocation = np.array(instance.zero_rate_by_state, dtype=float)
+    allocation[kept] = joint.dist_s
 
-    alloc_full = np.empty(src.s_size)
-    alloc_full[:] = instance.zero_rate_by_state
-    res_b_rate = None
-    per_state = None
-    if method in ("decomposed", "both"):
-        # the allocation search runs at a relaxed certificate; the final
-        # per-state solves below run at the full tolerance
-        hint = res_a.slope if res_a is not None else None
-        d_alloc, lam_alloc = _allocate_batched(cond, w, dspec.d, D, slope_hint=hint,
-                                               gap_tol=max(gap_tol, 1e-9))
-        per_state = [solve_rd_per_state(cond[i], dspec, float(d_alloc[i]), tol=tol,
-                                        slope_hint=lam_alloc)
+    if method != "direct":
+        per_state = [solve_rd_per_state(cond[i], dspec, float(joint.dist_s[i]), tol=tol,
+                                        slope_hint=joint.slope)
                      for i in range(len(kept))]
-        res_b_rate = float(w @ np.array([p.rate for p in per_state]))
-        rate_by_method["decomposed"] = res_b_rate
-        alloc_full[kept] = d_alloc
+        rate_by_method["decomposed"] = float(w @ np.array([p.rate for p in per_state]))
 
     if method == "both":
         if abs(rate_by_method["direct"] - rate_by_method["decomposed"]) > 10.0 * tol:
@@ -826,21 +761,18 @@ def solve_crd(instance, D: float, tol: float = 1e-9, method: str = "both",
                 gap=abs(rate_by_method["direct"] - rate_by_method["decomposed"]),
             )
 
-    if res_a is not None:
-        rate = rate_by_method["direct"]
-        slope = res_a.slope
-        gap = res_a.gap
-        channel_k, induced_k = res_a.channel, res_a.induced
-        dist_s = res_a.dist_s
-        if method == "direct":
-            alloc_full[kept] = dist_s
-    else:
-        rate = res_b_rate
+    if method == "decomposed":
+        rate = rate_by_method["decomposed"]
         slope = float(np.median([p.slope for p in per_state if p.slope > 0] or [0.0]))
         gap = max(p.gap for p in per_state)
         channel_k = np.stack([p.channel for p in per_state])
         induced_k = np.stack([p.induced for p in per_state])
         dist_s = np.array([p.distortion for p in per_state])
+    else:
+        rate = rate_by_method["direct"]
+        slope, gap = joint.slope, joint.gap
+        channel_k, induced_k = joint.channel, joint.induced
+        dist_s = joint.dist_s
 
     channel, induced = _reinsert_states(instance, kept, channel_k, induced_k)
     achieved = float(w @ dist_s)
@@ -851,11 +783,21 @@ def solve_crd(instance, D: float, tol: float = 1e-9, method: str = "both",
         slope=slope,
         distortion=achieved,
         target_distortion=D,
-        allocation=alloc_full,
+        allocation=allocation,
         gap=gap,
         instance=instance,
         rate_by_method=rate_by_method,
     )
+
+
+def _constant_output_code(instance):
+    """The best constant-output channel [X, S, Y] and its induced law [S, Y]."""
+    n_x, n_s, n_y = instance.x_size, instance.s_size, instance.y_size
+    channel = np.zeros((n_x, n_s, n_y))
+    induced = np.zeros((n_s, n_y))
+    induced[np.arange(n_s), instance.best_y_by_state] = 1.0
+    channel[:, np.arange(n_s), instance.best_y_by_state] = 1.0
+    return channel, induced
 
 
 def _reinsert_states(instance, kept, channel_k, induced_k):
@@ -864,23 +806,14 @@ def _reinsert_states(instance, kept, channel_k, induced_k):
     Dropped (probability-zero) states get the constant-output code; they
     contribute to no expectation.
     """
-    n_x, n_s, n_y = instance.x_size, instance.s_size, instance.y_size
-    channel = np.zeros((n_x, n_s, n_y))
-    induced = np.zeros((n_s, n_y))
-    induced[np.arange(n_s), instance.best_y_by_state] = 1.0
-    channel[:, np.arange(n_s), instance.best_y_by_state] = 1.0
+    channel, induced = _constant_output_code(instance)
     channel[:, kept, :] = np.moveaxis(channel_k, 0, 1)
     induced[kept, :] = induced_k
     return channel, induced
 
 
 def _zero_rate_crd(instance, D):
-    src = instance.source
-    n_x, n_s, n_y = instance.x_size, instance.s_size, instance.y_size
-    channel = np.zeros((n_x, n_s, n_y))
-    induced = np.zeros((n_s, n_y))
-    induced[np.arange(n_s), instance.best_y_by_state] = 1.0
-    channel[:, np.arange(n_s), instance.best_y_by_state] = 1.0
+    channel, induced = _constant_output_code(instance)
     zr = instance.zero_rate_distortion
     allocation = instance.zero_rate_by_state + (D - zr)
     return CrdSolution(

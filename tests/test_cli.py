@@ -147,6 +147,23 @@ class TestFbl:
         assert calls == [20, 40]
 
 
+@pytest.mark.parametrize("argv", [
+    ["fbl", "--model", None, "--D", "0.1", "--eps", "0.1", "--n", "0"],
+    ["fbl", "--model", None, "--D", "0.1", "--eps", "1.5", "--n", "100"],
+    ["gaussian", "--var-x", "1", "--var-z", "1", "--D", "0.25", "--eps", "0",
+     "--n", "100"],
+    ["gaussian", "--var-x", "1", "--var-z", "1", "--D", "0.25", "--eps", "0.1",
+     "--n", "0"],
+    ["rd-curve", "--model", None, "--D", "0.1", "--tol", "0"],
+], ids=["fbl-n0", "fbl-eps1.5", "gaussian-eps0", "gaussian-n0", "rd-curve-tol0"])
+def test_out_of_range_argument_is_usage_error(argv, binary_model_path, capsys):
+    argv = [binary_model_path if a is None else a for a in argv]
+    code, out, err = run_cli(argv + ["--threads", "1"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error: argument" in err
+
+
 class TestGaussian:
     def test_closed_forms_in_output(self, capsys):
         code, out, _ = run_cli(["gaussian", "--var-x", "1", "--var-z", "1",

@@ -95,6 +95,14 @@ class TestJointSolver:
             assert sol.distortion <= budget + 1e-9
             assert sol.gap <= 1e-9
 
+    def test_default_allocation_is_the_direct_solution(self):
+        rng = np.random.default_rng(43)
+        for _ in range(3):
+            inst, budget = random_instance(rng, max_size=3)
+            both = f.solve_crd(inst, budget)
+            direct = f.solve_crd(inst, budget, method="direct")
+            assert np.array_equal(both.allocation, direct.allocation)
+
     def test_allocation_sums_to_budget(self):
         rng = np.random.default_rng(21)
         inst, budget = random_instance(rng, max_size=4)
@@ -165,6 +173,25 @@ class TestAllocation:
         d0_star, value_star = allocation_search_two_states(curves, weights, budget)
         assert value == pytest.approx(value_star, abs=1e-6)
         assert float(weights @ alloc) == pytest.approx(budget, abs=1e-10)
+
+
+    def test_infeasible_below_weighted_floor(self):
+        dist = f.DistortionSpec([[0.5, 1.0], [1.0, 0.5]])
+        curves = [PerStateCurve(np.array([0.8, 0.2]), dist),
+                  PerStateCurve(np.array([0.6, 0.4]), dist)]
+        with pytest.raises(InfeasibleDistortionError):
+            f.allocate_distortion(curves, np.array([0.4, 0.6]), 0.49)
+
+    @pytest.mark.parametrize("excess", [0.0, 0.05])
+    def test_zero_rate_budget_shifts_every_state(self, excess):
+        curves = [PerStateCurve(np.array([0.8, 0.2]), HAMMING),
+                  PerStateCurve(np.array([0.6, 0.4]), HAMMING)]
+        weights = np.array([0.3, 0.7])
+        zr = np.array([c.zero_rate_distortion for c in curves])
+        budget = float(weights @ zr) + excess
+        alloc = f.allocate_distortion(curves, weights, budget)
+        np.testing.assert_allclose(alloc, zr + (budget - float(weights @ zr)),
+                                   rtol=0.0, atol=1e-15)
 
 
 class TestGradient:
