@@ -73,10 +73,8 @@ from .markov import (
 from .mc import McEstimate, chunked_monte_carlo
 from .solver import (
     CrdSolution,
-    PerStateCurve,
     PerStateSolution,
     RdCurvePoint,
-    allocate_distortion,
     rd_gradient,
     solve_crd,
     solve_rd_curve,

@@ -9,25 +9,21 @@ Lagrangian separates over side-information states, so the per-state
 distortions of that solution are the equal-slope allocation of
 R(X;D|S) = sum_s P_S(s) R_{X|S=s}(d_s).
 
-``solve_crd`` reports the rate by two routes:
-
-* ``direct`` — the weighted rate of the joint solution.
-* ``decomposed`` — each state's rate-distortion function solved on its own
-  at its allocated distortion, then weighted by P_S.
-
-The default runs both and cross-checks them; the decomposed route alone
-takes its allocation from the same slope search at a relaxed certificate.
-
 The inner alternating minimization carries a primal-dual certificate: for
 the output-marginal iterate q, the multiplicative update factor kappa
 satisfies sum_y q(y) kappa(y) = 1, and convexity of the Lagrangian in q
 gives  value(q) - value(q*) <= max_y kappa(y) - 1.  Iterations stop when
 the probability-weighted certificate drops below the gap tolerance.
+
+The reported rate is certified from the same solution: Blahut's dual
+bound at its slope and output law is a lower bound on R(D), and
+``solve_crd`` refuses to answer when the two differ by more than 10*tol.
+``solve_rd_per_state`` solves one source without side information.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +33,6 @@ from .source import DistortionSpec, Instance, JointSource, validate
 _TINY = 1e-300
 _MAX_SLOPE = float(2.0**60)
 _MAX_ITER = 400_000
-_ALLOCATION_GAP_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +406,7 @@ def _mix(sol_lo, sol_hi, cond, target_total, w):
     )
 
 
-def _bisect_slope(cond, w, dmat, target, gap_tol, slope_hint=None):
+def _bisect_slope(cond, w, dmat, target, gap_tol):
     """Outer slope search: find lam with achieved distortion = target.
 
     The achieved distortion of the fixed-slope solution is nonincreasing in
@@ -428,27 +423,9 @@ def _bisect_slope(cond, w, dmat, target, gap_tol, slope_hint=None):
     target_total = target
     search_gap = max(gap_tol, 1e-9)
     lo, sol_lo = 0.0, zero
-    q_warm = None
-    sol_hi = None
-    hi = None
-    if slope_hint and slope_hint > 0:
-        # a trusted hint usually brackets the answer within a few percent
-        cand_hi = slope_hint * 1.05
-        sol = _lagrangian_solve(cond, w, dmat, cand_hi, gap_tol=search_gap)
-        q_warm = sol.q
-        if float(w @ sol.dist_s) <= target_total:
-            hi, sol_hi = cand_hi, sol
-            cand_lo = slope_hint / 1.05
-            sol2 = _lagrangian_solve(cond, w, dmat, cand_lo, q0=q_warm,
-                                     gap_tol=search_gap)
-            if float(w @ sol2.dist_s) > target_total:
-                lo, sol_lo = cand_lo, sol2
-            else:
-                hi, sol_hi = cand_lo, sol2
-        else:
-            lo, sol_lo = cand_hi, sol
-    lam = max(4.0 * lo, lo + 1.0) if hi is None else 0.0
-    while hi is None and lam <= _MAX_SLOPE:
+    hi = sol_hi = q_warm = None
+    lam = 1.0
+    while lam <= _MAX_SLOPE:
         sol = _lagrangian_solve(cond, w, dmat, lam, q0=q_warm, gap_tol=search_gap)
         q_warm = sol.q
         if float(w @ sol.dist_s) <= target_total:
@@ -572,8 +549,7 @@ class PerStateSolution:
     gap: float
 
 
-def solve_rd_per_state(px, dist, target_d: float, tol: float = 1e-9,
-                       slope_hint: float | None = None) -> PerStateSolution:
+def solve_rd_per_state(px, dist, target_d: float, tol: float = 1e-9) -> PerStateSolution:
     """Rate-distortion function of a single source at distortion target_d.
 
     Returns rate 0 exactly once target_d reaches the distortion of the best
@@ -601,7 +577,7 @@ def solve_rd_per_state(px, dist, target_d: float, tol: float = 1e-9,
         return PerStateSolution(rate=0.0, channel=sol.channel[0], induced=sol.induced[0],
                                 slope=0.0, distortion=float(sol.dist_s[0]), gap=0.0)
     gap_tol = max(tol / 1000.0, 1e-13)
-    res = _bisect_slope(cond, w, dist.d, target_d, gap_tol, slope_hint=slope_hint)
+    res = _bisect_slope(cond, w, dist.d, target_d, gap_tol)
     if res.gap > tol:
         raise ConvergenceError(
             f"inner minimization stalled with certificate gap {res.gap:g} > tol {tol:g}",
@@ -611,58 +587,6 @@ def solve_rd_per_state(px, dist, target_d: float, tol: float = 1e-9,
         rate=float(res.rate_s[0]), channel=res.channel[0], induced=res.induced[0],
         slope=res.slope, distortion=float(res.dist_s[0]), gap=res.gap,
     )
-
-
-# ---------------------------------------------------------------------------
-# per-state curves and the distortion allocation across states
-# ---------------------------------------------------------------------------
-
-
-class PerStateCurve:
-    """Lazy handle on the rate-distortion curve of one conditional source."""
-
-    def __init__(self, px, dist: DistortionSpec):
-        self.px = np.asarray(px, dtype=float)
-        self.px = self.px / self.px.sum()
-        self.dist = dist
-        self.floor = float(self.px @ dist.row_min)
-        self.zero_rate_distortion = float((self.px @ dist.d).min())
-
-    def rate_at(self, d: float, tol: float = 1e-9) -> float:
-        return solve_rd_per_state(self.px, self.dist, d, tol=tol).rate
-
-
-def allocate_distortion(per_state_curves, p_s, D: float) -> np.ndarray:
-    """Allocate per-state distortions {d_s} minimizing the weighted rate sum.
-
-    All states with interior allocations share a common slope at the
-    optimum; the aggregate constraint sum_s P_S(s) d_s = D holds exactly.
-    States with zero probability are excluded from the objective and pinned
-    at their rate-zero distortion.
-    """
-    p_s = np.asarray(p_s, dtype=float)
-    active = np.flatnonzero(p_s > 0)
-    if active.size == 0:
-        raise ValueError("no states with positive probability")
-    dmat = per_state_curves[active[0]].dist.d
-    if any(not np.array_equal(per_state_curves[s].dist.d, dmat) for s in active):
-        raise ValueError("the per-state curves of positive probability must share "
-                         "one distortion matrix")
-    w = p_s[active] / p_s[active].sum()
-    cond = np.stack([per_state_curves[s].px for s in active])
-    floor = float(w @ (cond @ dmat.min(axis=1)))
-    if D < floor - 1e-12:
-        raise InfeasibleDistortionError(
-            f"aggregate target {D!r} is below the weighted floor {floor!r}"
-        )
-    d_s = np.array([c.zero_rate_distortion for c in per_state_curves])
-    zr = (cond @ dmat).min(axis=1)
-    total_zr = float(w @ zr)
-    if D >= total_zr - 1e-12 * max(1.0, total_zr):
-        d_s[active] = zr + (D - total_zr)
-    else:
-        d_s[active] = _bisect_slope(cond, w, dmat, D, _ALLOCATION_GAP_TOL).dist_s
-    return d_s
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +602,8 @@ class CrdSolution:
     against the conditional source law.  slope is the nonnegative magnitude
     of dR/dD (the curve is nonincreasing, and the stored value is the
     exponential-tilt parameter used by the tilted information density).
+    rate_lower is Blahut's dual lower bound on R(target_distortion) at that
+    slope and the induced output law.
     """
 
     rate: float
@@ -689,7 +615,7 @@ class CrdSolution:
     allocation: np.ndarray
     gap: float
     instance: Instance
-    rate_by_method: dict = field(default_factory=dict)
+    rate_lower: float
 
 
 @dataclass(frozen=True)
@@ -702,22 +628,43 @@ class RdCurvePoint:
     dispersion: float | None = None
 
 
-def solve_crd(instance, D: float, tol: float = 1e-9, method: str = "both",
+def _dual_lower_bound(cond, w, dmat, lam, q, D):
+    """Blahut's dual lower bound on R(D) from a slope lam >= 0 and output laws q [S, Y].
+
+    R(D) >= -lam * D + sum_s w_s [-sum_x p(x|s) ln c_s(x) - ln max_y kappa_s(y)]
+    with c_s(x) = sum_y q_s(y) exp(-lam d(x, y)) and kappa_s(y) = sum_x
+    p(x|s) exp(-lam d(x, y)) / c_s(x) (Blahut 1972; Cover & Thomas 10.8).
+    Shifting each row of d by its minimum takes lam * floor out of every
+    ln c_s(x) and into -lam * (D - floor); unshifted, the two large terms
+    cancel catastrophically at steep slopes.  Logs keep c_s in range.
+    """
+    row_min = dmat.min(axis=1)
+    floor = float(w @ (cond @ row_min))
+    log_a = -lam * (dmat - row_min[:, None])                  # [X, Y]
+    with np.errstate(divide="ignore"):
+        log_q = np.log(q)
+        log_cond = np.log(cond)
+    log_c = _logsumexp(log_q[:, None, :] + log_a[None, :, :], axis=2)[:, :, 0]
+    log_kappa = _logsumexp(
+        (log_cond - log_c)[:, :, None] + log_a[None, :, :], axis=1)[:, 0, :]
+    per_state = -np.einsum("sx,sx->s", cond, log_c) - log_kappa.max(axis=1)
+    return -lam * max(D - floor, 0.0) + float(w @ per_state)
+
+
+def solve_crd(instance, D: float, tol: float = 1e-9,
               dist: DistortionSpec | None = None) -> CrdSolution:
     """Solve min I(X;Y|S) subject to E[d(X,Y)] <= D.
 
-    One equal-slope search over the joint channel tensor yields the solution
-    and its per-state distortion allocation.  method selects the rate
-    reported: "direct" (the joint solution's weighted rate), "decomposed"
-    (each state's rate-distortion function re-solved at its allocated
-    distortion), or "both" (default; the two routes must agree within
-    10*tol).
+    One equal-slope search over the joint channel tensor yields the
+    solution, its weighted rate and its per-state distortion allocation.
+    Blahut's dual bound at the solution's slope and output law gives
+    rate_lower <= R(D); ConvergenceError is raised when the inner
+    certificate exceeds tol or the rate and rate_lower differ by more than
+    10*tol.
     """
     instance = validate(instance, dist)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if method not in ("direct", "decomposed", "both"):
-        raise ValueError(f"unknown method {method!r}")
     if D < instance.d_floor - 1e-12:
         raise InfeasibleDistortionError(
             f"distortion {D!r} is below the feasibility floor {instance.d_floor!r}"
@@ -730,64 +677,33 @@ def solve_crd(instance, D: float, tol: float = 1e-9, method: str = "both",
     kept = np.flatnonzero(src.p_s > 0)
     w = src.p_s[kept] / src.p_s[kept].sum()
     cond = src.cond_x_given_s[:, kept].T.copy()   # [S_kept, X]
-    gap_tol = max(tol / 1000.0, 1e-13)
-
-    rate_by_method = {}
-    if method == "decomposed":
-        # only the allocation is read from this search, so it runs at a
-        # relaxed certificate; the per-state solves below run at the full one
-        joint = _bisect_slope(cond, w, dspec.d, D, max(gap_tol, 1e-9))
-    else:
-        joint = _bisect_slope(cond, w, dspec.d, D, gap_tol)
-        if joint.gap > tol:
-            raise ConvergenceError(
-                f"joint minimization stalled with certificate gap {joint.gap:g}",
-                gap=joint.gap,
-            )
-        rate_by_method["direct"] = float(w @ joint.rate_s)
+    joint = _bisect_slope(cond, w, dspec.d, D, max(tol / 1000.0, 1e-13))
+    if joint.gap > tol:
+        raise ConvergenceError(
+            f"joint minimization stalled with certificate gap {joint.gap:g}",
+            gap=joint.gap,
+        )
+    rate = float(w @ joint.rate_s)
+    rate_lower = _dual_lower_bound(cond, w, dspec.d, joint.slope, joint.induced, D)
+    if abs(rate - rate_lower) > 10.0 * tol:
+        raise ConvergenceError(
+            f"rate {rate!r} is not within 10*tol of its dual lower bound {rate_lower!r}",
+            gap=abs(rate - rate_lower),
+        )
     allocation = np.array(instance.zero_rate_by_state, dtype=float)
     allocation[kept] = joint.dist_s
-
-    if method != "direct":
-        per_state = [solve_rd_per_state(cond[i], dspec, float(joint.dist_s[i]), tol=tol,
-                                        slope_hint=joint.slope)
-                     for i in range(len(kept))]
-        rate_by_method["decomposed"] = float(w @ np.array([p.rate for p in per_state]))
-
-    if method == "both":
-        if abs(rate_by_method["direct"] - rate_by_method["decomposed"]) > 10.0 * tol:
-            raise ConvergenceError(
-                "direct and decomposed solutions disagree: "
-                f"{rate_by_method['direct']!r} vs {rate_by_method['decomposed']!r}",
-                gap=abs(rate_by_method["direct"] - rate_by_method["decomposed"]),
-            )
-
-    if method == "decomposed":
-        rate = rate_by_method["decomposed"]
-        slope = float(np.median([p.slope for p in per_state if p.slope > 0] or [0.0]))
-        gap = max(p.gap for p in per_state)
-        channel_k = np.stack([p.channel for p in per_state])
-        induced_k = np.stack([p.induced for p in per_state])
-        dist_s = np.array([p.distortion for p in per_state])
-    else:
-        rate = rate_by_method["direct"]
-        slope, gap = joint.slope, joint.gap
-        channel_k, induced_k = joint.channel, joint.induced
-        dist_s = joint.dist_s
-
-    channel, induced = _reinsert_states(instance, kept, channel_k, induced_k)
-    achieved = float(w @ dist_s)
+    channel, induced = _reinsert_states(instance, kept, joint.channel, joint.induced)
     return CrdSolution(
         rate=rate,
         channel=channel,
         induced=induced,
-        slope=slope,
-        distortion=achieved,
+        slope=joint.slope,
+        distortion=float(w @ joint.dist_s),
         target_distortion=D,
         allocation=allocation,
-        gap=gap,
+        gap=joint.gap,
         instance=instance,
-        rate_by_method=rate_by_method,
+        rate_lower=rate_lower,
     )
 
 
@@ -820,8 +736,7 @@ def _zero_rate_crd(instance, D):
     return CrdSolution(
         rate=0.0, channel=channel, induced=induced, slope=0.0,
         distortion=zr, target_distortion=D, allocation=allocation,
-        gap=0.0, instance=instance,
-        rate_by_method={"direct": 0.0, "decomposed": 0.0},
+        gap=0.0, instance=instance, rate_lower=0.0,
     )
 
 
@@ -847,7 +762,7 @@ def rd_gradient(instance, D: float, h: float = 1e-5, scheme: str = "forward",
     if scheme not in ("forward", "central"):
         raise ValueError(f"unknown scheme {scheme!r}")
     pmf = instance.source.pmf
-    base = solve_crd(instance, D, tol=tol, method="direct").rate
+    base = solve_crd(instance, D, tol=tol).rate
     grad = np.empty_like(pmf)
     for a in range(pmf.shape[0]):
         for b in range(pmf.shape[1]):
@@ -866,7 +781,7 @@ def _perturbed_rate(instance, pmf, a, b, h, D, tol):
     perturbed[a, b] += h
     src = JointSource(perturbed / mass)
     try:
-        sol = solve_crd(validate(src, instance.dist), D, tol=tol, method="direct")
+        sol = solve_crd(validate(src, instance.dist), D, tol=tol)
     except InfeasibleDistortionError as exc:
         raise InfeasibleDistortionError(
             f"perturbing mass at (x={a}, s={b}) by {h:+g} makes distortion {D!r} "

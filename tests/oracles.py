@@ -6,6 +6,7 @@ inverse, arbitrary-precision logs instead of float entropy, and direct
 search over test channels instead of alternating minimization.
 """
 
+import dataclasses
 import itertools
 from decimal import Decimal, getcontext
 
@@ -112,18 +113,23 @@ def hamming_rd_uniform(alphabet_size: int, budget: float) -> float:
             - budget * np.log(q - 1))
 
 
-def allocation_search_two_states(curves, weights, budget, tol=1e-10):
-    """Golden-section search over the single free allocation variable."""
+def allocation_search_two_states(rows, weights, dist, budget, tol=1e-10):
+    """Golden-section search over the single free allocation variable.
+
+    rows holds the two states' source pmfs; each state's rate comes from
+    its own rate-distortion function (solve_rd_per_state).
+    """
+    rows = [np.asarray(px, dtype=float) for px in rows]
+    floors = [float(px @ dist.row_min) for px in rows]
+    zero_rate = [float((px @ dist.d).min()) for px in rows]
     w0, w1 = weights
-    floor0 = curves[0].floor
-    floor1 = curves[1].floor
-    lo = max(floor0, (budget - w1 * curves[1].zero_rate_distortion) / w0)
-    hi = min(curves[0].zero_rate_distortion, (budget - w1 * floor1) / w0)
+    lo = max(floors[0], (budget - w1 * zero_rate[1]) / w0)
+    hi = min(zero_rate[0], (budget - w1 * floors[1]) / w0)
 
     def objective(d0):
         d1 = (budget - w0 * d0) / w1
-        return (w0 * curves[0].rate_at(d0, tol=1e-10)
-                + w1 * curves[1].rate_at(d1, tol=1e-10))
+        return (w0 * f.solve_rd_per_state(rows[0], dist, d0, tol=1e-10).rate
+                + w1 * f.solve_rd_per_state(rows[1], dist, d1, tol=1e-10).rate)
 
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -141,6 +147,39 @@ def allocation_search_two_states(curves, weights, budget, tol=1e-10):
             fd = objective(d)
     d0 = 0.5 * (a + b)
     return d0, objective(d0)
+
+
+def solve_crd_decomposed(instance, D, tol=1e-9):
+    """solve_crd with every state's rate-distortion function solved on its own.
+
+    Each state of positive probability runs solve_rd_per_state at its
+    share of solve_crd's allocation; the rate is the P_S-weighted sum of
+    the per-state rates, and channel, output law, slope (the median of the
+    positive per-state slopes), certificate gap and distortion come from
+    the per-state solutions too.
+    """
+    sol = f.solve_crd(instance, D, tol=tol)
+    inst = sol.instance
+    src = inst.source
+    kept = np.flatnonzero(src.p_s > 0)
+    w = src.p_s[kept] / src.p_s[kept].sum()
+    per_state = [f.solve_rd_per_state(src.cond_x_given_s[:, s], inst.dist,
+                                      float(sol.allocation[s]), tol=tol)
+                 for s in kept]
+    channel = sol.channel.copy()
+    induced = sol.induced.copy()
+    channel[:, kept, :] = np.stack([p.channel for p in per_state], axis=1)
+    induced[kept, :] = np.stack([p.induced for p in per_state])
+    slopes = [p.slope for p in per_state if p.slope > 0]
+    return dataclasses.replace(
+        sol,
+        rate=float(w @ np.array([p.rate for p in per_state])),
+        channel=channel,
+        induced=induced,
+        slope=float(np.median(slopes)) if slopes else 0.0,
+        distortion=float(w @ np.array([p.distortion for p in per_state])),
+        gap=max(p.gap for p in per_state),
+    )
 
 
 def enumerate_pair_outcomes(instance):

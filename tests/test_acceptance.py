@@ -75,7 +75,7 @@ def test_acceptance_3_gradient_identity():
         inst, budget = random_instance(rng, max_size=4, min_range=0.05)
         if inst.source.pmf.min() < 1e-3:
             continue
-        sol = f.solve_crd(inst, budget, method="direct")
+        sol = f.solve_crd(inst, budget)
         field = f.tilted_density(sol)
         grad = f.rd_gradient(inst, budget, h=1e-5, scheme="central")
         worst = max(worst, float(np.abs(grad - field.table).max()))

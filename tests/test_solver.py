@@ -1,14 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import fblcrd as f
 from conftest import random_instance
-from fblcrd.exceptions import InfeasibleDistortionError
-from fblcrd.solver import PerStateCurve
+from fblcrd import solver
+from fblcrd.exceptions import ConvergenceError, InfeasibleDistortionError
 from oracles import allocation_search_two_states, hamming_rd_uniform, \
-    rd_binary_grid, rd_slsqp
+    rd_binary_grid, rd_slsqp, solve_crd_decomposed
 
 HAMMING = f.DistortionSpec([[0.0, 1.0], [1.0, 0.0]])
+# rounding slack of the closed forms and the rate sums they are compared with
+ROUNDING = 1e-15
+
+
+def states_instance(rows, weights, dist=HAMMING):
+    """The instance whose state s has weight weights[s] and source pmf rows[s]."""
+    pmf = np.column_stack([w * np.asarray(px, dtype=float) for px, w in zip(rows, weights)])
+    return f.validate(f.JointSource(pmf), dist)
 
 
 class TestPerState:
@@ -75,7 +85,46 @@ class TestJointSolver:
         assert sol.rate == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.175319, abs=1e-6)
         assert sol.slope == pytest.approx(np.log(9.0), abs=1e-8)
-        assert abs(sol.rate_by_method["direct"] - sol.rate_by_method["decomposed"]) <= 1e-8
+
+    @pytest.mark.parametrize("a, c", [(0.5, 0.2), (0.3, 0.1), (0.5, 0.45)])
+    def test_dual_interval_brackets_binary_closed_form(self, a, c):
+        inst = f.binary_hamming_instance(a=a, c=c)
+        for budget in c * np.array([0.05, 0.2, 0.5, 0.8, 0.95, 0.999]):
+            sol = f.solve_crd(inst, float(budget), tol=1e-9)
+            exact = f.binary_entropy(c) - f.binary_entropy(float(budget))
+            assert sol.rate_lower - ROUNDING <= exact <= sol.rate + ROUNDING
+            assert sol.rate - sol.rate_lower <= 1e-8
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_dual_interval_brackets_uniform_qary_closed_form(self, q):
+        inst = f.validate(f.JointSource(np.full((q, 1), 1.0 / q)),
+                          f.DistortionSpec(1.0 - np.eye(q)))
+        for budget in (q - 1) / q * np.array([0.05, 0.2, 0.5, 0.8, 0.95]):
+            sol = f.solve_crd(inst, float(budget), tol=1e-9)
+            exact = hamming_rd_uniform(q, float(budget))
+            assert sol.rate_lower - ROUNDING <= exact <= sol.rate + ROUNDING
+
+    @pytest.mark.parametrize("miss", [1e-6, -1e-6])
+    def test_rate_off_its_dual_bound_is_refused(self, binary_instance, monkeypatch, miss):
+        # the joint search reports per-state rates that miss R(D) by `miss`
+        # while its slope, output law and allocation stay right
+        bisect = solver._bisect_slope
+        calls = []
+
+        def misreported(*args, **kwargs):
+            res = bisect(*args, **kwargs)
+            calls.append(res)
+            if len(calls) == 1:
+                res = dataclasses.replace(res, rate_s=res.rate_s + miss)
+            return res
+
+        monkeypatch.setattr(solver, "_bisect_slope", misreported)
+        with pytest.raises(ConvergenceError, match="dual lower bound") as err:
+            f.solve_crd(binary_instance, 0.1, tol=1e-9)
+        assert err.value.gap == pytest.approx(abs(miss), rel=1e-4)
+        sol = f.solve_crd(binary_instance, 0.1, tol=1e-9)
+        assert sol.rate == pytest.approx(f.binary_entropy(0.2) - f.binary_entropy(0.1),
+                                         abs=1e-9)
 
     def test_zero_rate_regime_channel_is_product(self, binary_instance):
         sol = f.solve_crd(binary_instance, 0.35)
@@ -90,8 +139,8 @@ class TestJointSolver:
         for _ in range(8):
             inst, budget = random_instance(rng, max_size=3)
             sol = f.solve_crd(inst, budget, tol=1e-9)
-            diff = abs(sol.rate_by_method["direct"] - sol.rate_by_method["decomposed"])
-            assert diff <= 1e-8
+            decomposed = solve_crd_decomposed(inst, budget, tol=1e-9)
+            assert abs(sol.rate - decomposed.rate) <= 1e-8
             assert sol.distortion <= budget + 1e-9
             assert sol.gap <= 1e-9
 
@@ -99,9 +148,12 @@ class TestJointSolver:
         rng = np.random.default_rng(43)
         for _ in range(3):
             inst, budget = random_instance(rng, max_size=3)
-            both = f.solve_crd(inst, budget)
-            direct = f.solve_crd(inst, budget, method="direct")
-            assert np.array_equal(both.allocation, direct.allocation)
+            sol = f.solve_crd(inst, budget)
+            cond = inst.source.cond_x_given_s
+            per_state = np.einsum("xs,xsy,xy->s", cond, sol.channel, inst.dist.d)
+            kept = inst.source.p_s > 0
+            np.testing.assert_allclose(sol.allocation[kept], per_state[kept],
+                                       rtol=0.0, atol=1e-15)
 
     def test_allocation_sums_to_budget(self):
         rng = np.random.default_rng(21)
@@ -148,57 +200,40 @@ class TestJointSolver:
 class TestAllocation:
     def test_identical_curves_split_evenly(self):
         px = np.array([0.8, 0.2])
-        curves = [PerStateCurve(px, HAMMING), PerStateCurve(px, HAMMING)]
-        alloc = f.allocate_distortion(curves, np.array([0.4, 0.6]), 0.1)
+        alloc = f.solve_crd(states_instance([px, px], [0.4, 0.6]), 0.1).allocation
         assert np.abs(alloc - 0.1).max() <= 1e-9
 
     def test_zero_probability_state_excluded(self):
-        px0 = np.array([0.8, 0.2])
-        px1 = np.array([0.6, 0.4])
-        curves = [PerStateCurve(px0, HAMMING), PerStateCurve(px1, HAMMING)]
-        alloc = f.allocate_distortion(curves, np.array([1.0, 0.0]), 0.1)
+        inst = states_instance([[0.8, 0.2], [0.6, 0.4]], [1.0, 0.0])
+        alloc = f.solve_crd(inst, 0.1).allocation
         assert alloc[0] == pytest.approx(0.1, abs=1e-9)
         # the null-weight state sits at its rate-zero point by convention
-        assert alloc[1] == pytest.approx(curves[1].zero_rate_distortion, abs=1e-12)
+        assert alloc[1] == inst.zero_rate_by_state[1]
 
     def test_two_state_allocation_matches_direct_search(self):
-        px0 = np.array([0.9, 0.1])
-        px1 = np.array([0.65, 0.35])
+        rows = [np.array([0.9, 0.1]), np.array([0.65, 0.35])]
         weights = np.array([0.3, 0.7])
         budget = 0.08
-        curves = [PerStateCurve(px0, HAMMING), PerStateCurve(px1, HAMMING)]
-        alloc = f.allocate_distortion(curves, weights, budget)
-        value = (weights[0] * curves[0].rate_at(float(alloc[0]), tol=1e-10)
-                 + weights[1] * curves[1].rate_at(float(alloc[1]), tol=1e-10))
-        d0_star, value_star = allocation_search_two_states(curves, weights, budget)
+        alloc = f.solve_crd(states_instance(rows, weights), budget).allocation
+        value = sum(w * f.solve_rd_per_state(px, HAMMING, float(d), tol=1e-10).rate
+                    for px, w, d in zip(rows, weights, alloc))
+        d0_star, value_star = allocation_search_two_states(rows, weights, HAMMING, budget)
         assert value == pytest.approx(value_star, abs=1e-6)
         assert float(weights @ alloc) == pytest.approx(budget, abs=1e-10)
 
-
-    def test_rejects_curves_with_different_distortion_matrices(self):
-        px = np.array([0.8, 0.2])
-        scaled = f.DistortionSpec(5.0 * HAMMING.d)
-        for pair in ([HAMMING, scaled], [scaled, HAMMING]):
-            curves = [PerStateCurve(px, dist) for dist in pair]
-            with pytest.raises(ValueError, match="one distortion matrix"):
-                f.allocate_distortion(curves, np.array([0.5, 0.5]), 0.1)
-
     def test_infeasible_below_weighted_floor(self):
         dist = f.DistortionSpec([[0.5, 1.0], [1.0, 0.5]])
-        curves = [PerStateCurve(np.array([0.8, 0.2]), dist),
-                  PerStateCurve(np.array([0.6, 0.4]), dist)]
+        inst = states_instance([[0.8, 0.2], [0.6, 0.4]], [0.4, 0.6], dist)
         with pytest.raises(InfeasibleDistortionError):
-            f.allocate_distortion(curves, np.array([0.4, 0.6]), 0.49)
+            f.solve_crd(inst, 0.49)
 
     @pytest.mark.parametrize("excess", [0.0, 0.05])
     def test_zero_rate_budget_shifts_every_state(self, excess):
-        curves = [PerStateCurve(np.array([0.8, 0.2]), HAMMING),
-                  PerStateCurve(np.array([0.6, 0.4]), HAMMING)]
-        weights = np.array([0.3, 0.7])
-        zr = np.array([c.zero_rate_distortion for c in curves])
-        budget = float(weights @ zr) + excess
-        alloc = f.allocate_distortion(curves, weights, budget)
-        np.testing.assert_allclose(alloc, zr + (budget - float(weights @ zr)),
+        inst = states_instance([[0.8, 0.2], [0.6, 0.4]], [0.3, 0.7])
+        zr = inst.zero_rate_by_state
+        budget = inst.zero_rate_distortion + excess
+        alloc = f.solve_crd(inst, budget).allocation
+        np.testing.assert_allclose(alloc, zr + (budget - inst.zero_rate_distortion),
                                    rtol=0.0, atol=1e-15)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import fblcrd as f
 from conftest import random_instance
-from oracles import rd_slsqp
+from oracles import rd_slsqp, solve_crd_decomposed
 
 
 class TestBinaryClosedForm:
@@ -82,8 +82,8 @@ class TestMoments:
         rng = np.random.default_rng(55)
         for _ in range(4):
             inst, budget = random_instance(rng, max_size=3)
-            t_a = f.tilted_density(f.solve_crd(inst, budget, method="direct")).table
-            t_b = f.tilted_density(f.solve_crd(inst, budget, method="decomposed")).table
+            t_a = f.tilted_density(f.solve_crd(inst, budget)).table
+            t_b = f.tilted_density(solve_crd_decomposed(inst, budget)).table
             assert np.abs(t_a - t_b).max() <= 1e-6
 
 
