@@ -74,10 +74,8 @@ from .mc import McEstimate, chunked_monte_carlo
 from .solver import (
     CrdSolution,
     PerStateSolution,
-    RdCurvePoint,
     rd_gradient,
     solve_crd,
-    solve_rd_curve,
     solve_rd_per_state,
 )
 from .source import (
@@ -99,7 +97,6 @@ from .tilted import (
     VarianceDecomposition,
     dispersion_v,
     info_densities,
-    rd_curve_with_dispersion,
     second_order_classifier,
     tilted_density,
     verify_tilted_identities,

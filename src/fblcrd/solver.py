@@ -15,6 +15,10 @@ satisfies sum_y q(y) kappa(y) = 1, and convexity of the Lagrangian in q
 gives  value(q) - value(q*) <= max_y kappa(y) - 1.  Iterations stop when
 the probability-weighted certificate drops below the gap tolerance.
 
+The slope search runs once, at that one gap tolerance: every probe warm
+starts from the previous probe's output law, whose exact zeros alone are
+revived, and the two bracket ends enter the final timeshare as solved.
+
 The reported rate is certified from the same solution: Blahut's dual
 bound at its slope and output law is a lower bound on R(D), and
 ``solve_crd`` refuses to answer when the two differ by more than 10*tol.
@@ -77,15 +81,18 @@ def _logsumexp(a, axis):
 
 
 def _warm_start(q0, n_s, n_y):
-    """Blend a warm start with a little uniform mass.
+    """Start from a neighboring slope's output law, reviving its exact zeros.
 
     The multiplicative update cannot revive an output whose mass has
-    decayed to exact zero, so a warm start taken from a neighboring slope
-    (where the optimal support may differ) must keep every output alive.
+    decayed to exact zero, and the optimal support at the new slope may
+    include it, so each exact zero gets mass 1e-3/n_y.  Positive entries
+    are kept as they are: mixing uniform mass into them would cost the
+    iteration thousands of steps to drive back out of outputs that are
+    leaving the support.
     """
     if q0 is None:
         return np.full((n_s, n_y), 1.0 / n_y)
-    q = (1.0 - 1e-3) * q0 + 1e-3 / n_y
+    q = np.where(q0 > 0.0, q0, 1e-3 / n_y)
     return q / q.sum(axis=1, keepdims=True)
 
 
@@ -379,7 +386,7 @@ class _TargetSolution:
     gap: float
 
 
-def _mix(sol_lo, sol_hi, cond, target_total, w):
+def _mix(sol_lo, sol_hi, cond, target, w):
     """Timeshare two fixed-slope solutions so the weighted distortion hits target.
 
     On a linear stretch of the rate-distortion curve the mixture of the two
@@ -389,7 +396,7 @@ def _mix(sol_lo, sol_hi, cond, target_total, w):
     d_lo = float(w @ sol_lo.dist_s)
     d_hi = float(w @ sol_hi.dist_s)
     if d_lo - d_hi > 1e-300:
-        alpha = (target_total - d_hi) / (d_lo - d_hi)
+        alpha = (target - d_hi) / (d_lo - d_hi)
     else:
         alpha = 0.5
     alpha = min(max(alpha, 0.0), 1.0)
@@ -411,56 +418,38 @@ def _bisect_slope(cond, w, dmat, target, gap_tol):
 
     The achieved distortion of the fixed-slope solution is nonincreasing in
     lam; the bracket starts at lam = 0 (the rate-zero code) and grows
-    geometrically until the distortion budget is met, then bisects.
+    geometrically until the distortion budget is met, then shrinks.  Every
+    probe is solved at the one certificate tolerance gap_tol, so both
+    bracket ends can enter the final mixture as they stand.
 
-    The search itself runs at a relaxed certificate (bracketing decisions
-    only need the distortion side of each iterate); the endpoints entering
-    the final mixture are re-certified at the full tolerance on their
-    respective sides of the target, then the bracket is re-collapsed so
-    the mixture interpolates a short chord.
+    At the feasibility floor no finite slope may bring the computed
+    distortion down to the target: the steepest slope's solution then
+    stands for the floor solution when its distortion exceeds the target by
+    at most 1e-12, the slack solve_crd grants below the floor.
     """
-    zero = _zero_rate_solution(cond, dmat)
-    target_total = target
-    search_gap = max(gap_tol, 1e-9)
-    lo, sol_lo = 0.0, zero
+    lo, sol_lo = 0.0, _zero_rate_solution(cond, dmat)
     hi = sol_hi = q_warm = None
     lam = 1.0
     while lam <= _MAX_SLOPE:
-        sol = _lagrangian_solve(cond, w, dmat, lam, q0=q_warm, gap_tol=search_gap)
+        sol = _lagrangian_solve(cond, w, dmat, lam, q0=q_warm, gap_tol=gap_tol)
         q_warm = sol.q
-        if float(w @ sol.dist_s) <= target_total:
+        if float(w @ sol.dist_s) <= target:
             hi, sol_hi = lam, sol
             break
         lo, sol_lo = lam, sol
         lam *= 4.0
     if hi is None:
-        raise ConvergenceError(
-            f"slope search exhausted at lam={lo:g}; distortion "
-            f"{float(w @ sol_lo.dist_s)!r} still above target {target!r}",
-            gap=float(w @ sol_lo.dist_s) - target,
-        )
+        reached = float(w @ sol_lo.dist_s)
+        if reached - target > 1e-12:
+            raise ConvergenceError(
+                f"slope search exhausted at lam={lo:g}; distortion "
+                f"{reached!r} still above target {target!r}",
+                gap=reached - target,
+            )
+        return _mix(sol_lo, sol_lo, cond, target, w)
     lo, sol_lo, hi, sol_hi = _refine_bracket(
-        cond, w, dmat, target_total, lo, sol_lo, hi, sol_hi, q_warm, search_gap)
-
-    if gap_tol < search_gap:
-        # both endpoints can carry nontrivial mixture weight once the
-        # bracket has collapsed, so both must hold the full certificate
-        hi, sol_hi = _tight_side(cond, w, dmat, hi, sol_hi.q, target_total,
-                                 "hi", gap_tol, zero)
-        lo, sol_lo = _tight_side(cond, w, dmat, lo, sol_lo.q, target_total,
-                                 "lo", gap_tol, zero)
-        # if certifying the sides widened the slope bracket, shrink it
-        # back so the final mixture interpolates a short chord
-        for _ in range(80):
-            if hi - lo <= 3e-11 * (1.0 + hi):
-                break
-            mid = 0.5 * (lo + hi)
-            sol = _lagrangian_solve(cond, w, dmat, mid, q0=sol_hi.q, gap_tol=gap_tol)
-            if float(w @ sol.dist_s) <= target_total:
-                hi, sol_hi = mid, sol
-            else:
-                lo, sol_lo = mid, sol
-    return _mix(sol_lo, sol_hi, cond, target_total, w)
+        cond, w, dmat, target, lo, sol_lo, hi, sol_hi, q_warm, gap_tol)
+    return _mix(sol_lo, sol_hi, cond, target, w)
 
 
 def _refine_bracket(cond, w, dmat, target, lo, sol_lo, hi, sol_hi, q_warm, gap_tol):
@@ -468,10 +457,12 @@ def _refine_bracket(cond, w, dmat, target, lo, sol_lo, hi, sol_hi, q_warm, gap_t
 
     Interleaves secant (false-position) steps with plain halving; the
     achieved distortion is monotone in the slope, so the bracket invariant
-    is preserved throughout.  On a smooth stretch of the curve the secant
-    hits the target within a handful of probes and the search exits early;
-    at a corner or linear face (where no slope attains the target exactly)
-    the halving steps still collapse the bracket geometrically.
+    (distortion above the target at lo, at or below it at hi) is preserved
+    throughout.  On a smooth stretch of the curve the secant hits the
+    target within a handful of probes and the search exits early, but only
+    on a probe at most atol below the target, never above it; at a corner
+    or linear face (where no slope attains the target exactly) the halving
+    steps still collapse the bracket geometrically.
     """
     atol = 1e-13 * max(1.0, abs(target))
     for it in range(200):
@@ -488,48 +479,13 @@ def _refine_bracket(cond, w, dmat, target, lo, sol_lo, hi, sol_hi, q_warm, gap_t
         sol = _lagrangian_solve(cond, w, dmat, mid, q0=q_warm, gap_tol=gap_tol)
         q_warm = sol.q
         achieved = float(w @ sol.dist_s)
-        if abs(achieved - target) <= atol:
+        if 0.0 <= target - achieved <= atol:
             return mid, sol, mid, sol
         if achieved <= target:
             hi, sol_hi = mid, sol
         else:
             lo, sol_lo = mid, sol
     return lo, sol_lo, hi, sol_hi
-
-
-def _tight_side(cond, w, dmat, lam, q_warm, target, side, gap_tol, zero):
-    """Certify a bracket endpoint at full tolerance on its required side.
-
-    The relaxed search phase can misjudge a side near a corner or a linear
-    face of the curve, so after re-solving tightly the slope is stepped
-    geometrically (up for the low-distortion side, down toward the
-    rate-zero code otherwise) until the achieved distortion genuinely lies
-    on the required side of the target.
-    """
-    if side == "lo" and lam <= 0.0:
-        return 0.0, zero
-    sol = _lagrangian_solve(cond, w, dmat, lam, q0=q_warm, gap_tol=gap_tol)
-
-    def ok(s):
-        d = float(w @ s.dist_s)
-        return d <= target if side == "hi" else d >= target
-
-    step = 1e-12 * (1.0 + lam)
-    for _ in range(80):
-        if ok(sol):
-            return lam, sol
-        if side == "hi":
-            lam = lam + step
-        else:
-            lam = lam - step
-            if lam <= 0.0:
-                return 0.0, zero
-        step *= 4.0
-        sol = _lagrangian_solve(cond, w, dmat, lam, q0=sol.q, gap_tol=gap_tol)
-    raise ConvergenceError(
-        f"could not certify a {side}-side solution at the distortion target {target!r}",
-        gap=float(w @ sol.dist_s) - target,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -616,16 +572,6 @@ class CrdSolution:
     gap: float
     instance: Instance
     rate_lower: float
-
-
-@dataclass(frozen=True)
-class RdCurvePoint:
-    """One sampled point of the rate-distortion curve."""
-
-    distortion: float
-    rate: float
-    slope: float
-    dispersion: float | None = None
 
 
 def _dual_lower_bound(cond, w, dmat, lam, q, D):
@@ -789,16 +735,3 @@ def _perturbed_rate(instance, pmf, a, b, h, D, tol):
         ) from exc
     return mass * sol.rate
 
-
-def solve_rd_curve(instance, d_grid, tol: float = 1e-9) -> list[RdCurvePoint]:
-    """Sample the rate-distortion curve on a distortion grid.
-
-    Dispersion fields are left unset; the tilted-information module fills
-    them when requested.
-    """
-    instance = validate(instance)
-    points = []
-    for d in d_grid:
-        sol = solve_crd(instance, float(d), tol=tol)
-        points.append(RdCurvePoint(distortion=float(d), rate=sol.rate, slope=sol.slope))
-    return points

@@ -22,7 +22,7 @@ from scipy.special import logsumexp
 
 from .coremath import gaussian_q_inv
 from .exceptions import FblcrdError
-from .solver import CrdSolution, RdCurvePoint, solve_crd
+from .solver import CrdSolution
 
 
 @dataclass(frozen=True)
@@ -213,13 +213,3 @@ def second_order_classifier(kappa: float, rate: float, v: float, eps: float):
         return float(np.sqrt(v) * gaussian_q_inv(eps))
     return float("inf") if kappa < rate else float("-inf")
 
-
-def rd_curve_with_dispersion(instance, d_grid, tol: float = 1e-9) -> list[RdCurvePoint]:
-    """Rate-distortion curve points with the dispersion column filled in."""
-    points = []
-    for d in d_grid:
-        sol = solve_crd(instance, float(d), tol=tol)
-        field = tilted_density(sol)
-        points.append(RdCurvePoint(distortion=float(d), rate=sol.rate,
-                                   slope=sol.slope, dispersion=field.variance))
-    return points

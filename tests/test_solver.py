@@ -163,9 +163,11 @@ class TestJointSolver:
         assert total == pytest.approx(budget, abs=1e-9)
 
     def test_curve_monotone_and_convex(self, binary_instance):
+        # the grid stays below the zero-rate distortion c = 0.2, so the
+        # rate decreases strictly along it
         grid = np.linspace(0.02, 0.18, 9)
         rates = [f.solve_crd(binary_instance, float(d)).rate for d in grid]
-        assert all(r1 >= r2 - 1e-10 for r1, r2 in zip(rates[:-1], rates[1:]))
+        assert all(r1 > r2 for r1, r2 in zip(rates[:-1], rates[1:]))
         for i in range(1, len(grid) - 1):
             mid = rates[i]
             chord = 0.5 * (rates[i - 1] + rates[i + 1])
@@ -191,6 +193,8 @@ class TestJointSolver:
     def test_zero_rate_boundary_exact(self, binary_instance):
         sol = f.solve_crd(binary_instance, binary_instance.zero_rate_distortion)
         assert sol.rate == 0.0
+        # ... and exactly 0 at the grid value c = 0.2 too
+        assert f.solve_crd(binary_instance, 0.2).rate == 0.0
 
     def test_infeasible_distortion(self, binary_instance):
         with pytest.raises(InfeasibleDistortionError):
@@ -256,9 +260,93 @@ class TestGradient:
         assert np.abs(grad - binary_field.table).max() <= 1e-3
 
 
-def test_rd_curve_emission(binary_instance):
-    points = f.solve_rd_curve(binary_instance, [0.05, 0.1, 0.2])
-    assert [p.distortion for p in points] == [0.05, 0.1, 0.2]
-    assert points[-1].rate == 0.0
-    assert points[0].rate > points[1].rate
-    assert points[0].dispersion is None
+# A 3x2x4 model whose computed distortion, even at the steepest slope the
+# search tries, sits one ulp above its feasibility floor 0.3169151114489335.
+FLOOR_PMF = [[0.3948290975472396, 0.14909240571378507],
+             [0.25862996509817293, 0.10521808042676137],
+             [0.005992519366876534, 0.08623793184716456]]
+FLOOR_D = [[0.526778564335999, 0.23622015512195615, 0.23900616858173446, 0.9993408920520572],
+           [0.7218952892703903, 0.3876081613358592, 0.5479580417801136, 0.9793489546074043],
+           [0.918142086486839, 0.8753848300869929, 0.5139237314678226, 0.5944184149853942]]
+
+
+@pytest.mark.parametrize("budget", [0.3169151114489335, 0.3169151114489])
+def test_solves_at_the_feasibility_floor(budget):
+    inst = f.validate(f.JointSource(np.array(FLOOR_PMF)), f.DistortionSpec(FLOOR_D))
+    assert inst.d_floor == 0.3169151114489335
+    tol = 1e-9
+    sol = f.solve_crd(inst, budget, tol=tol)
+    assert abs(sol.rate - sol.rate_lower) <= 10.0 * tol
+    assert sol.distortion <= budget + 1e-12
+    # at the floor every letter goes to its unique best reproduction, so
+    # the rate is H(best(X) | S)
+    best = inst.dist.d.argmin(axis=1)
+    cond = inst.source.cond_x_given_s
+    exact = sum(p_s * f.entropy(np.bincount(best, weights=cond[:, s]))
+                for s, p_s in enumerate(inst.source.p_s))
+    assert sol.rate == pytest.approx(exact, abs=10.0 * tol)
+
+
+# Two points of a catalogue of random models (fblbench/workloads.py shapes,
+# catalogue seeds 0 and 2) where warm starts that mixed uniform mass into
+# every output stalled the slope search: 590k and 547k inner iterations.
+STALL_POINTS = {
+    "cat0-6x2x6-t0.15": (
+        [[0.11297368552580746, 0.04567872510874555], [0.022370161516115785, 0.0094222742655823],
+         [0.1689244092095941, 0.12101842571984282], [0.0381702679849031, 0.1057172023974651],
+         [0.14189101049955138, 0.06031356589621442], [0.05453731171239353, 0.11898296016378453]],
+        [[0.6564422761737766, 0.01339067909718994, 0.1624434427083553, 0.2938234643879565,
+          0.6805626097695981, 0.7062353133613742],
+         [0.6807608241860267, 0.7676171065637424, 0.07955156101373462, 0.1058889084153547,
+          0.8553511602621139, 0.3568377529611344],
+         [0.5683712904835098, 0.5035028057334142, 0.6266625713376246, 0.07694671122795227,
+          0.7697902263664144, 0.12340232816315366],
+         [0.6813744618340352, 0.40214209915071075, 0.49226163606213835, 0.6716937343607445,
+          0.3710027506956368, 0.04603747135147218],
+         [0.9642115517216056, 0.522676899407916, 0.7421446410608609, 0.5312948337241725,
+          0.8196869026699722, 0.5646161790877259],
+         [0.12275687838719596, 0.6419065646558053, 0.1727406694369843, 0.8236541350166275,
+          0.6810616004728154, 0.9398086381431077]],
+        0.15),
+    "cat2-4x2x5-collapsed-t0.9": (
+        [[0.2326111858110002], [0.27580216430827675], [0.1922433677858622],
+         [0.29934328209486083]],
+        [[0.12358772827204278, 0.4024060561451719, 0.8558247814625324, 0.08491590611423383,
+          0.2503364374202107],
+         [0.6137177813130219, 0.8292320556511208, 0.10263635844764507, 0.41635547440798437,
+          0.5921317093035723],
+         [0.5470508904775759, 0.5355414135001076, 0.9930165942092665, 0.9841191490620264,
+          0.21030713884107466],
+         [0.2556401443782569, 0.40004197648719275, 0.10096843671984723, 0.14637315025416087,
+          0.5650152347084896]],
+        0.9),
+}
+# inner iterations allowed per point; the search takes 36k and 77k of them
+STALL_BUDGET = 150_000
+
+
+@pytest.mark.parametrize("point", sorted(STALL_POINTS))
+def test_stall_catalogue_within_iteration_budget(point, monkeypatch):
+    pmf, d, t = STALL_POINTS[point]
+    inst = f.validate(f.JointSource(np.array(pmf)), f.DistortionSpec(d))
+    budget = inst.d_floor + t * (inst.zero_rate_distortion - inst.d_floor)
+    # count each fixed-slope solve the search receives once: the linear
+    # solver hands steep slopes and fresh restarts to solver functions it
+    # looks up by name, so nested calls return through the outer one
+    solve = solver._lagrangian_solve
+    iterations, depth = [], [0]
+
+    def counted(*args, **kwargs):
+        depth[0] += 1
+        try:
+            res = solve(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:
+            iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(solver, "_lagrangian_solve", counted)
+    sol = f.solve_crd(inst, budget, tol=1e-9)
+    assert sol.distortion <= budget + 1e-12
+    assert sum(iterations) <= STALL_BUDGET
