@@ -193,8 +193,6 @@ class TestJointSolver:
     def test_zero_rate_boundary_exact(self, binary_instance):
         sol = f.solve_crd(binary_instance, binary_instance.zero_rate_distortion)
         assert sol.rate == 0.0
-        # ... and exactly 0 at the grid value c = 0.2 too
-        assert f.solve_crd(binary_instance, 0.2).rate == 0.0
 
     def test_infeasible_distortion(self, binary_instance):
         with pytest.raises(InfeasibleDistortionError):
@@ -258,6 +256,14 @@ class TestGradient:
     def test_central_scheme_agrees(self, binary_instance, binary_field):
         grad = f.rd_gradient(binary_instance, 0.1, h=1e-4, scheme="central")
         assert np.abs(grad - binary_field.table).max() <= 1e-3
+
+
+def test_rd_curve_emission(binary_instance):
+    # an rd curve is one solve_crd per grid value
+    sols = [f.solve_crd(binary_instance, d) for d in [0.05, 0.1, 0.2]]
+    assert [s.target_distortion for s in sols] == [0.05, 0.1, 0.2]
+    assert sols[-1].rate == 0.0
+    assert sols[0].rate > sols[1].rate
 
 
 # A 3x2x4 model whose computed distortion, even at the steepest slope the

@@ -24,13 +24,10 @@ class TestBinaryClosedForm:
         assert np.all(field.table == 0.0)
         assert field.variance == 0.0
 
-    def test_dispersion_closed_form(self, binary_instance, binary_field):
+    def test_dispersion_closed_form(self, binary_field):
         expected = 0.16 * math.log(4.0) ** 2
         assert binary_field.variance == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.307490, abs=1e-6)
-        # below the zero-rate distortion V does not depend on D
-        field = f.tilted_density(f.solve_crd(binary_instance, 0.05))
-        assert field.variance == pytest.approx(expected, abs=1e-8)
 
     def test_corollary_regime_variance_is_self_information_variance(
             self, binary_instance, binary_field):
@@ -149,6 +146,14 @@ class TestClassifier:
             f.second_order_classifier(0.3, 0.3, -1.0, 0.1)
         with pytest.raises(ValueError):
             f.second_order_classifier(0.3, 0.3, 0.25, 0.0)
+
+
+def test_rd_curve_with_dispersion(binary_instance):
+    # below the zero-rate distortion V does not depend on D
+    expected = 0.16 * math.log(4.0) ** 2
+    for d in [0.05, 0.1]:
+        field = f.tilted_density(f.solve_crd(binary_instance, d))
+        assert field.variance == pytest.approx(expected, abs=1e-8)
 
 
 def test_info_densities_self_information(binary_solution, binary_instance):
