@@ -16,8 +16,6 @@ from .bounds import (
     achievable_rate_estimate,
     converse_lower,
     converse_rate_bound,
-    exact_random_code,
-    exact_tilted_tail,
     forward_bound,
     second_order_rate,
     simulate_random_code,
@@ -25,12 +23,9 @@ from .bounds import (
     tilted_sum_distribution,
 )
 from .coremath import (
-    BerryEsseenTerms,
-    berry_esseen_bound,
     binary_entropy,
     chi2_cdf,
     chi2_logpdf,
-    chi2_pdf,
     chi2_sf,
     entropy,
     gaussian_cdf,
@@ -52,7 +47,6 @@ from .gaussian import (
     gaussian_crd,
     gaussian_second_order_rate,
     gaussian_simulate,
-    gaussian_tilted_density,
     sphere_cap_bound,
     sphere_cap_params,
     tilted_density_samples,
@@ -86,8 +80,6 @@ from .source import (
     binary_hamming_instance,
     load_model,
     parse_model,
-    sample_iid,
-    sequence_distortion,
     validate,
 )
 from .tilted import (
@@ -97,7 +89,6 @@ from .tilted import (
     VarianceDecomposition,
     dispersion_v,
     info_densities,
-    second_order_classifier,
     tilted_density,
     verify_tilted_identities,
 )

@@ -465,7 +465,7 @@ class _DistortionConvolver:
 
 
 # ---------------------------------------------------------------------------
-# random-coding bound (Monte-Carlo and exact enumeration)
+# random-coding bound (Monte-Carlo)
 # ---------------------------------------------------------------------------
 
 
@@ -494,49 +494,6 @@ def simulate_random_code(query: FblQuery, solution: CrdSolution,
                        terms={"mc_mean": est.mean},
                        mc_stderr=est.stderr,
                        quantization_bound=conv.quantization_bound)
-
-
-def _compositions(n, k):
-    if k == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _compositions(n - head, k - 1):
-            yield (head,) + rest
-
-
-def exact_random_code(query: FblQuery, solution: CrdSolution) -> float:
-    """Exhaustive evaluation of the random-coding bound (small n only).
-
-    Enumerates per-class letter counts (the sufficient statistic for every
-    quantity involved) with exact multinomial weights.
-    """
-    n, D = query.n, query.distortion
-    conv = _DistortionConvolver(solution, n, _codeword_laws(solution))
-    if len(conv.class_probs) ** min(n, 8) > 10**8 and n > 16:
-        raise FblcrdError("exact enumeration is limited to small blocklengths")
-    log_p = np.log(conv.class_probs)
-    total = 0.0
-    for counts in _compositions(n, len(conv.classes)):
-        m = np.array(counts)
-        logw = gammaln(n + 1) - gammaln(m + 1).sum() + float(m @ log_p)
-        p = conv.interval_prob(m, 0.0, n * D)
-        total += math.exp(logw) * float(pow_one_minus(p, query.log_m))
-    return total
-
-
-def exact_tilted_tail(field: TiltedField, n: int, thresholds) -> np.ndarray:
-    """Exact Pr[sum of n tilted-density letters >= t] by count enumeration."""
-    values, probs = _dedupe_atoms(field.atoms_value, field.atoms_prob)
-    log_p = np.log(probs)
-    thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
-    tails = np.zeros_like(thresholds)
-    for counts in _compositions(n, len(values)):
-        m = np.array(counts)
-        logw = gammaln(n + 1) - gammaln(m + 1).sum() + float(m @ log_p)
-        s = float(m @ values)
-        tails[s >= thresholds] += math.exp(logw)
-    return tails
 
 
 def achievable_rate_estimate(solution: CrdSolution, n: int, eps: float,

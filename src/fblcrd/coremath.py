@@ -9,7 +9,6 @@ continuous at the boundary of the simplex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -57,45 +56,6 @@ def binary_entropy(p: float) -> float:
     return float(-_sp.xlogy(p, p) - _sp.xlogy(1.0 - p, 1.0 - p))
 
 
-@dataclass(frozen=True)
-class BerryEsseenTerms:
-    """Aggregated moments of a sum of independent terms.
-
-    ``bound`` dominates the uniform Gaussian-approximation error of the
-    normalized sum: |Pr[sum of centered terms >= lam*sigma] - Q(lam)| <= bound.
-    It is infinite exactly when the variance vanishes while the third
-    absolute moment does not.
-    """
-
-    sigma2: float
-    t3: float
-    bound: float
-
-
-def berry_esseen_bound(terms) -> BerryEsseenTerms:
-    """Aggregate (mean, variance, third absolute central moment) triples.
-
-    ``terms`` is an iterable of triples; only the variance and third-moment
-    entries enter the bound 6*T/sigma^3.
-    """
-    arr = np.asarray(list(terms), dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError("terms must be an iterable of (mean, var, abs3) triples")
-    var = arr[:, 1]
-    abs3 = arr[:, 2]
-    if np.any(var < 0):
-        raise ValueError("negative variance in Berry-Esseen terms")
-    if np.any(abs3 < 0):
-        raise ValueError("negative third absolute moment in Berry-Esseen terms")
-    sigma2 = float(var.sum())
-    t3 = float(abs3.sum())
-    if sigma2 == 0.0:
-        bound = math.inf if t3 > 0.0 else 0.0
-    else:
-        bound = 6.0 * t3 / sigma2**1.5
-    return BerryEsseenTerms(sigma2=sigma2, t3=t3, bound=bound)
-
-
 def chi2_logpdf(k: int, x):
     """Log of the central chi-square density with k degrees of freedom.
 
@@ -119,11 +79,6 @@ def chi2_logpdf(k: int, x):
         else:
             logpdf = np.where(x == 0, np.inf, logpdf)
     return logpdf if logpdf.ndim else float(logpdf)
-
-
-def chi2_pdf(k: int, x):
-    """Central chi-square density with k degrees of freedom (0 for x < 0)."""
-    return np.exp(chi2_logpdf(k, x))
 
 
 def chi2_cdf(k: int, x):

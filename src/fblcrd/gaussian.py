@@ -101,22 +101,6 @@ def gaussian_crd(model: GaussianModel) -> float:
     return 0.5 * math.log(model.var_x_given_s / model.distortion)
 
 
-def gaussian_tilted_density(model: GaussianModel, x_seq, s_seq) -> float:
-    """Tilted information density of a sequence pair, in nats.
-
-    (n/2) ln(var/D) + |x - mu(s)|^2 / (2 var) - n/2 with var = var_x_given_s.
-    """
-    x_seq = np.asarray(x_seq, dtype=float)
-    s_seq = np.asarray(s_seq, dtype=float)
-    if x_seq.shape != s_seq.shape:
-        raise ValidationError("x and s sequences must have equal length")
-    n = x_seq.size
-    var = model.var_x_given_s
-    resid = x_seq - model.mu(s_seq)
-    return (0.5 * n * math.log(var / model.distortion)
-            + float(resid @ resid) / (2.0 * var) - 0.5 * n)
-
-
 def tilted_density_samples(model: GaussianModel, count: int, seed=0,
                            chunk_size: int = _MC_CHUNK) -> np.ndarray:
     """Per-letter tilted-density samples from fresh (X, S) draws.

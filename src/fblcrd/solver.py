@@ -13,7 +13,13 @@ The inner alternating minimization carries a primal-dual certificate: for
 the output-marginal iterate q, the multiplicative update factor kappa
 satisfies sum_y q(y) kappa(y) = 1, and convexity of the Lagrangian in q
 gives  value(q) - value(q*) <= max_y kappa(y) - 1.  Iterations stop when
-the probability-weighted certificate drops below the gap tolerance.
+the probability-weighted certificate drops below the gap tolerance.  The
+one iteration runs on the row-shifted kernel exp(-lam d) or, at slopes
+where that leaves float range, on its log.  Where an output enters or
+leaves the optimal support the multiplicative update decays geometrically
+with ratio near 1; a certificate that has not halved over 128 iterations
+hands the output law to a Newton solve of the stationarity system over
+enumerated supports.
 
 The slope search runs once, at that one gap tolerance: every probe warm
 starts from the previous probe's output law, whose exact zeros alone are
@@ -37,6 +43,9 @@ from .source import DistortionSpec, Instance, JointSource, validate
 _TINY = 1e-300
 _MAX_SLOPE = float(2.0**60)
 _MAX_ITER = 400_000
+# lam * (within-row spread of d) above which exp(-lam d) leaves float range
+# and the fixed-slope iteration runs on the log of the kernel
+_LOG_KERNEL_EXPONENT = 400.0
 
 
 # ---------------------------------------------------------------------------
@@ -187,61 +196,137 @@ def _newton_polish(cond, A, q, kappa, gap_tol):
     return q
 
 
+class _LinearKernel:
+    """The row-shifted kernel A = exp(-lam (d - min_y d)); the iterate is q."""
+
+    def __init__(self, cond, w, log_a):
+        self.cond, self.w, self.a = cond, w, np.exp(log_a)
+
+    def from_law(self, q):
+        return q
+
+    def certify(self, q):
+        c = q @ self.a.T
+        np.maximum(c, _TINY, out=c)
+        kappa = (self.cond / c) @ self.a
+        return c, kappa, float(self.w @ np.maximum(kappa.max(axis=1) - 1.0, 0.0))
+
+    def update(self, q, kappa):
+        q = q * kappa
+        return q / q.sum(axis=1, keepdims=True)
+
+    def extrapolate(self, q, kappa, beta):
+        with np.errstate(divide="ignore"):
+            log_q = np.log(q) + beta * np.log(kappa)
+        cand = np.exp(log_q - log_q.max(axis=1, keepdims=True))
+        return cand / cand.sum(axis=1, keepdims=True)
+
+    def polish(self, q, kappa, gap_tol):
+        return _newton_polish(self.cond, self.a, q, kappa, gap_tol)
+
+    def finish(self, q, c, kappa):
+        """The output law, the channel [S, X, Y] and its induced marginal."""
+        channel = q[:, None, :] * self.a[None, :, :] / c[:, :, None]
+        induced = q * kappa
+        return q, channel, induced / induced.sum(axis=1, keepdims=True)
+
+
+class _LogKernel:
+    """The log of that kernel, for slopes where A leaves float range.
+
+    The iterate is ln q, and c and kappa are carried as logs too.
+    """
+
+    def __init__(self, cond, w, log_a):
+        self.cond, self.w, self.log_a = cond, w, log_a
+        with np.errstate(divide="ignore"):
+            self.log_cond = np.log(cond)
+
+    def from_law(self, q):
+        with np.errstate(divide="ignore"):
+            return np.log(q)
+
+    def certify(self, log_q):
+        log_c = _logsumexp(log_q[:, None, :] + self.log_a[None, :, :], axis=2)[:, :, 0]
+        log_kappa = _logsumexp(
+            (self.log_cond - log_c)[:, :, None] + self.log_a[None, :, :], axis=1)[:, 0, :]
+        with np.errstate(over="ignore"):
+            gap = float(self.w @ np.maximum(np.exp(log_kappa.max(axis=1)) - 1.0, 0.0))
+        return log_c, log_kappa, gap
+
+    def update(self, log_q, log_kappa):
+        return self.extrapolate(log_q, log_kappa, 1.0)
+
+    def extrapolate(self, log_q, log_kappa, beta):
+        cand = log_q + beta * log_kappa
+        return cand - _logsumexp(cand, axis=1)
+
+    def polish(self, log_q, log_kappa, gap_tol):
+        # exp of the row-shifted log kernel lies in [0, 1]: steep slopes
+        # underflow to zero off each row's nearest outputs, never overflow
+        with np.errstate(over="ignore"):
+            q = _newton_polish(self.cond, np.exp(self.log_a), np.exp(log_q),
+                               np.exp(log_kappa), gap_tol)
+        return self.from_law(q)
+
+    def finish(self, log_q, log_c, log_kappa):
+        """The output law, the channel [S, X, Y] and its induced marginal."""
+        channel = np.exp(log_q[:, None, :] + self.log_a[None, :, :] - log_c[:, :, None])
+        q, induced = np.exp(log_q), np.exp(log_q + log_kappa)
+        return (q / q.sum(axis=1, keepdims=True),
+                channel / channel.sum(axis=2, keepdims=True),
+                induced / induced.sum(axis=1, keepdims=True))
+
+
 def _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=1e-12):
     """Alternating minimization at fixed slope lam >= 0.
 
     cond [S,X] holds P(x|s) rows, w [S] the state weights, dmat [X,Y] the
     distortion matrix.  Rows of dmat are shifted by their minimum before
     exponentiation, which keeps moderate slopes in range; once lam times
-    the within-row spread exceeds float range the whole iteration moves to
-    log space.
+    the within-row spread passes _LOG_KERNEL_EXPONENT the same iteration
+    runs on the log of the kernel (_LogKernel) instead of the kernel
+    itself (_LinearKernel).
 
     Support identification (an output symbol entering or leaving the
     optimal law) makes the plain multiplicative update geometrically slow
-    with ratio near 1; when the certificate decays that slowly the update
-    is extrapolated by the implied geometric factor (accepted only if the
-    certificate improves), which jumps past the stall without leaving the
-    simplex.
+    with ratio near 1.  Every 64 iterations a decay slower than 0.9 per
+    iteration is extrapolated by the implied geometric factor (accepted
+    only if the certificate improves), which jumps past short stalls
+    without leaving the simplex.  Every 128 iterations, if the certificate
+    has not halved, the Newton polish identifies the optimal support
+    outright (kept only if the certificate falls); a certificate that
+    stays flat even so has hit its numerical floor and ends the iteration.
     """
+    log_a = -lam * (dmat - dmat.min(axis=1, keepdims=True))
     spread = float((dmat.max(axis=1) - dmat.min(axis=1)).max())
-    if lam * spread > 400.0:
-        return _lagrangian_solve_log(cond, w, dmat, lam, q0=q0, gap_tol=gap_tol)
-    n_s, n_x = cond.shape
-    n_y = dmat.shape[1]
-    A = np.exp(-lam * (dmat - dmat.min(axis=1, keepdims=True)))
-    q = _warm_start(q0, n_s, n_y)
-
-    def certify(qq):
-        c = qq @ A.T
-        np.maximum(c, _TINY, out=c)
-        kappa = (cond / c) @ A
-        gap = float(w @ np.maximum(kappa.max(axis=1) - 1.0, 0.0))
-        return c, kappa, gap
-
+    kernel = (_LogKernel if lam * spread > _LOG_KERNEL_EXPONENT else _LinearKernel)(
+        cond, w, log_a)
+    q = kernel.from_law(_warm_start(q0, cond.shape[0], dmat.shape[1]))
     check = 64
     horizon = 128
     prev_gap = None
     hist_gap = None
-    newton_attempts = 0
-    c, kappa, gap = certify(q)
+    polish_attempts = 0
+    c, kappa, gap = kernel.certify(q)
     for it in range(1, _MAX_ITER + 1):
         if gap <= gap_tol:
             break
         if it % horizon == 0:
-            # certificate essentially flat over a long stretch (micro
-            # improvements from the extrapolation ladder do not count):
-            # identify the optimal support outright, and if even that
-            # cannot move the certificate, it has hit its numerical floor
-            if hist_gap is not None and gap > 0.999 * hist_gap:
+            # not halved over the horizon: a support change is stalling
+            # the update, so identify the support outright
+            if hist_gap is not None and gap > 0.5 * hist_gap:
                 improved = False
-                if gap < 1e-2 and newton_attempts < 8:
-                    newton_attempts += 1
-                    cand = _newton_polish(cond, A, q, kappa, gap_tol)
-                    c2, k2, g2 = certify(cand)
+                if gap < 1e-2 and polish_attempts < 8:
+                    polish_attempts += 1
+                    cand = kernel.polish(q, kappa, gap_tol)
+                    c2, k2, g2 = kernel.certify(cand)
                     if g2 < gap:
                         q, c, kappa, gap = cand, c2, k2, g2
                         improved = True
-                if not improved:
+                # still flat (micro improvements from the extrapolation
+                # ladder aside): the certificate is at its numerical floor
+                if not improved and gap > 0.999 * hist_gap:
                     break
             hist_gap = gap
         if it % check == 0:
@@ -253,12 +338,8 @@ def _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=1e-12):
                     for beta in (beta0, beta0 / 16.0, beta0 / 256.0):
                         if beta <= 1.0:
                             break
-                        with np.errstate(divide="ignore"):
-                            logq = np.log(q) + beta * np.log(kappa)
-                        logq -= logq.max(axis=1, keepdims=True)
-                        cand = np.exp(logq)
-                        cand /= cand.sum(axis=1, keepdims=True)
-                        c2, k2, g2 = certify(cand)
+                        cand = kernel.extrapolate(q, kappa, beta)
+                        c2, k2, g2 = kernel.certify(cand)
                         if g2 < gap:
                             q, c, kappa, gap = cand, c2, k2, g2
                             accepted = True
@@ -267,89 +348,15 @@ def _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=1e-12):
                     prev_gap = None
                     continue
             prev_gap = gap
-        q = q * kappa
-        q /= q.sum(axis=1, keepdims=True)
-        c, kappa, gap = certify(q)
+        q = kernel.update(q, kappa)
+        c, kappa, gap = kernel.certify(q)
     else:
         it = _MAX_ITER
     if gap > gap_tol and q0 is not None:
         # a polluted warm start can pin the iteration at a certificate
         # floor that a fresh start sails below
         return _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=gap_tol)
-    channel = q[:, None, :] * A[None, :, :] / c[:, :, None]
-    induced = q * kappa
-    induced /= induced.sum(axis=1, keepdims=True)
-    dist_s = np.einsum("sx,sxy,xy->s", cond, channel, dmat)
-    rate_s = _rate_per_state(cond, channel, induced)
-    return _SlopeSolution(
-        lam=lam, q=q, channel=channel, induced=induced,
-        rate_s=rate_s, dist_s=dist_s, gap=gap, iterations=it,
-    )
-
-
-def _lagrangian_solve_log(cond, w, dmat, lam, q0=None, gap_tol=1e-12):
-    """Log-domain twin of the fixed-slope iteration, for very steep slopes."""
-    n_s, n_x = cond.shape
-    n_y = dmat.shape[1]
-    log_a = -lam * (dmat - dmat.min(axis=1, keepdims=True))   # [X, Y]
-    with np.errstate(divide="ignore"):
-        log_cond = np.log(cond)
-        log_q = np.log(_warm_start(q0, n_s, n_y))
-
-    def certify(lq):
-        # log c[s, x] = lse_y(log q[s, y] + log A[x, y])
-        log_c = _logsumexp(lq[:, None, :] + log_a[None, :, :], axis=2)[:, :, 0]
-        log_kappa = _logsumexp(
-            (log_cond - log_c)[:, :, None] + log_a[None, :, :], axis=1)[:, 0, :]
-        with np.errstate(over="ignore"):
-            gap = float(w @ np.maximum(np.exp(log_kappa.max(axis=1)) - 1.0, 0.0))
-        return log_c, log_kappa, gap
-
-    check = 64
-    horizon = 128
-    prev_gap = None
-    hist_gap = None
-    log_c, log_kappa, gap = certify(log_q)
-    for it in range(1, _MAX_ITER + 1):
-        if gap <= gap_tol:
-            break
-        if it % horizon == 0:
-            if hist_gap is not None and gap > 0.999 * hist_gap:
-                break
-            hist_gap = gap
-        if it % check == 0:
-            if prev_gap is not None and gap > 0.0:
-                rho = min((gap / prev_gap) ** (1.0 / check), 1.0 - 1e-12)
-                accepted = False
-                if rho > 0.9:
-                    beta0 = min(1.0 / (1.0 - rho), 1e8)
-                    for beta in (beta0, beta0 / 16.0, beta0 / 256.0):
-                        if beta <= 1.0:
-                            break
-                        cand = log_q + beta * log_kappa
-                        cand -= _logsumexp(cand, axis=1)
-                        c2, k2, g2 = certify(cand)
-                        if g2 < gap:
-                            log_q, log_c, log_kappa, gap = cand, c2, k2, g2
-                            accepted = True
-                            break
-                if accepted:
-                    prev_gap = None
-                    continue
-            prev_gap = gap
-        log_q = log_q + log_kappa
-        log_q -= _logsumexp(log_q, axis=1)
-        log_c, log_kappa, gap = certify(log_q)
-    else:
-        it = _MAX_ITER
-    if gap > gap_tol and q0 is not None:
-        return _lagrangian_solve_log(cond, w, dmat, lam, q0=None, gap_tol=gap_tol)
-    channel = np.exp(log_q[:, None, :] + log_a[None, :, :] - log_c[:, :, None])
-    channel /= channel.sum(axis=2, keepdims=True)
-    induced = np.exp(log_q + log_kappa)
-    induced /= induced.sum(axis=1, keepdims=True)
-    q = np.exp(log_q)
-    q /= q.sum(axis=1, keepdims=True)
+    q, channel, induced = kernel.finish(q, c, kappa)
     dist_s = np.einsum("sx,sxy,xy->s", cond, channel, dmat)
     rate_s = _rate_per_state(cond, channel, induced)
     return _SlopeSolution(
@@ -586,13 +593,8 @@ def _dual_lower_bound(cond, w, dmat, lam, q, D):
     """
     row_min = dmat.min(axis=1)
     floor = float(w @ (cond @ row_min))
-    log_a = -lam * (dmat - row_min[:, None])                  # [X, Y]
-    with np.errstate(divide="ignore"):
-        log_q = np.log(q)
-        log_cond = np.log(cond)
-    log_c = _logsumexp(log_q[:, None, :] + log_a[None, :, :], axis=2)[:, :, 0]
-    log_kappa = _logsumexp(
-        (log_cond - log_c)[:, :, None] + log_a[None, :, :], axis=1)[:, 0, :]
+    kernel = _LogKernel(cond, w, -lam * (dmat - row_min[:, None]))
+    log_c, log_kappa, _ = kernel.certify(kernel.from_law(q))
     per_state = -np.einsum("sx,sx->s", cond, log_c) - log_kappa.max(axis=1)
     return -lam * max(D - floor, 0.0) + float(w @ per_state)
 

@@ -17,15 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .mc import chunk_streams
 
 #: Probabilities below this are treated as structural zeros and removed
 #: from supports, so downstream log-densities never see them.
 STRUCTURAL_ZERO = 1e-15
-
-#: Default Monte-Carlo / sampling chunk size; per-chunk substreams are
-#: derived deterministically from the user seed.
-DEFAULT_CHUNK = 1 << 16
 
 _PMF_SUM_TOL = 1e-12
 
@@ -193,36 +188,6 @@ class SequencePair:
 
     def __len__(self):
         return len(self.x)
-
-
-def sample_iid(instance, n: int, seed, chunk_size: int = DEFAULT_CHUNK) -> SequencePair:
-    """Draw n i.i.d. pairs from P_XS, deterministically given the seed.
-
-    Sampling is performed in fixed-size chunks with per-chunk substreams
-    derived from the seed, so parallel evaluation of chunks cannot change
-    the result.
-    """
-    if n < 1:
-        raise ValueError(f"sequence length must be >= 1, got {n}")
-    instance = validate(instance) if isinstance(instance, Instance) else instance
-    src = instance.source if isinstance(instance, Instance) else instance
-    flat = src.pmf.ravel()
-    idx = np.concatenate([rng.choice(flat.size, size=m, p=flat)
-                          for rng, m in chunk_streams(n, seed, chunk_size)])
-    return SequencePair(x=idx // src.s_size, s=idx % src.s_size)
-
-
-def sequence_distortion(x_seq, y_seq, dist: DistortionSpec) -> float:
-    """Arithmetic mean of per-letter distortions along a sequence pair."""
-    x_seq = np.asarray(x_seq)
-    y_seq = np.asarray(y_seq)
-    if x_seq.shape != y_seq.shape:
-        raise ValidationError(
-            f"length mismatch: {x_seq.shape} source symbols vs {y_seq.shape} reproductions"
-        )
-    if len(x_seq) == 0:
-        raise ValidationError("sequences must have length >= 1")
-    return float(dist.d[x_seq, y_seq].mean())
 
 
 def parse_model(obj: dict, origin: str = "<model>") -> Instance:

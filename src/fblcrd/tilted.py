@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .coremath import gaussian_q_inv
 from .exceptions import FblcrdError
 from .solver import CrdSolution
 
@@ -195,21 +194,4 @@ def dispersion_v(field: TiltedField) -> VarianceDecomposition:
             f"law-of-total-variance mismatch: {total!r} vs {within + between!r}"
         )
     return VarianceDecomposition(total=total, within=within, between=between)
-
-
-def second_order_classifier(kappa: float, rate: float, v: float, eps: float):
-    """Optimal second-order rate at first-order operating point kappa.
-
-    Below the rate-distortion function every second-order rate is
-    achievable only as +inf (strong converse direction); above it the
-    second-order cost collapses to -inf; exactly at the rate the answer is
-    sqrt(V) Q^{-1}(eps).
-    """
-    if v < 0:
-        raise ValueError("dispersion must be nonnegative")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if abs(kappa - rate) <= 1e-12:
-        return float(np.sqrt(v) * gaussian_q_inv(eps))
-    return float("inf") if kappa < rate else float("-inf")
 

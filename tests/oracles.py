@@ -8,12 +8,17 @@ search over test channels instead of alternating minimization.
 
 import dataclasses
 import itertools
+import math
 from decimal import Decimal, getcontext
 
 import numpy as np
 from scipy import integrate, optimize
+from scipy.special import gammaln
 
 import fblcrd as f
+from fblcrd.bounds import _codeword_laws, _dedupe_atoms, _DistortionConvolver
+from fblcrd.exceptions import ValidationError
+from fblcrd.mc import chunk_streams
 
 
 def gaussian_cdf_quadrature(t: float) -> float:
@@ -211,3 +216,153 @@ def self_convolve_direct(kernel, m):
     for _ in range(m - 1):
         out = np.convolve(out, kernel)
     return out
+
+
+def _compositions(n, k):
+    if k == 1:
+        yield (n,)
+        return
+    for head in range(n + 1):
+        for rest in _compositions(n - head, k - 1):
+            yield (head,) + rest
+
+
+def exact_random_code(query, solution) -> float:
+    """Exhaustive evaluation of the random-coding bound (small n only).
+
+    Enumerates per-class letter counts (the sufficient statistic for every
+    quantity involved) with exact multinomial weights.
+    """
+    n, D = query.n, query.distortion
+    conv = _DistortionConvolver(solution, n, _codeword_laws(solution))
+    if len(conv.class_probs) ** min(n, 8) > 10**8 and n > 16:
+        raise f.FblcrdError("exact enumeration is limited to small blocklengths")
+    log_p = np.log(conv.class_probs)
+    total = 0.0
+    for counts in _compositions(n, len(conv.classes)):
+        m = np.array(counts)
+        logw = gammaln(n + 1) - gammaln(m + 1).sum() + float(m @ log_p)
+        p = conv.interval_prob(m, 0.0, n * D)
+        total += math.exp(logw) * float(f.pow_one_minus(p, query.log_m))
+    return total
+
+
+def exact_tilted_tail(field, n: int, thresholds) -> np.ndarray:
+    """Exact Pr[sum of n tilted-density letters >= t] by count enumeration."""
+    values, probs = _dedupe_atoms(field.atoms_value, field.atoms_prob)
+    log_p = np.log(probs)
+    thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
+    tails = np.zeros_like(thresholds)
+    for counts in _compositions(n, len(values)):
+        m = np.array(counts)
+        logw = gammaln(n + 1) - gammaln(m + 1).sum() + float(m @ log_p)
+        s = float(m @ values)
+        tails[s >= thresholds] += math.exp(logw)
+    return tails
+
+
+@dataclasses.dataclass(frozen=True)
+class BerryEsseenTerms:
+    """Aggregated moments of a sum of independent terms.
+
+    ``bound`` dominates the uniform Gaussian-approximation error of the
+    normalized sum: |Pr[sum of centered terms >= lam*sigma] - Q(lam)| <= bound.
+    It is infinite exactly when the variance vanishes while the third
+    absolute moment does not.
+    """
+
+    sigma2: float
+    t3: float
+    bound: float
+
+
+def berry_esseen_bound(terms) -> BerryEsseenTerms:
+    """Aggregate (mean, variance, third absolute central moment) triples.
+
+    ``terms`` is an iterable of triples; only the variance and third-moment
+    entries enter the bound 6*T/sigma^3.
+    """
+    arr = np.asarray(list(terms), dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError("terms must be an iterable of (mean, var, abs3) triples")
+    var = arr[:, 1]
+    abs3 = arr[:, 2]
+    if np.any(var < 0):
+        raise ValueError("negative variance in Berry-Esseen terms")
+    if np.any(abs3 < 0):
+        raise ValueError("negative third absolute moment in Berry-Esseen terms")
+    sigma2 = float(var.sum())
+    t3 = float(abs3.sum())
+    if sigma2 == 0.0:
+        bound = math.inf if t3 > 0.0 else 0.0
+    else:
+        bound = 6.0 * t3 / sigma2**1.5
+    return BerryEsseenTerms(sigma2=sigma2, t3=t3, bound=bound)
+
+
+def chi2_pdf(k: int, x):
+    """Central chi-square density with k degrees of freedom (0 for x < 0)."""
+    return np.exp(f.chi2_logpdf(k, x))
+
+
+def second_order_classifier(kappa: float, rate: float, v: float, eps: float):
+    """Optimal second-order rate at first-order operating point kappa.
+
+    Below the rate-distortion function every second-order rate is
+    achievable only as +inf (strong converse direction); above it the
+    second-order cost collapses to -inf; exactly at the rate the answer is
+    sqrt(V) Q^{-1}(eps).
+    """
+    if v < 0:
+        raise ValueError("dispersion must be nonnegative")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    if abs(kappa - rate) <= 1e-12:
+        return float(np.sqrt(v) * f.gaussian_q_inv(eps))
+    return float("inf") if kappa < rate else float("-inf")
+
+
+def sample_iid(instance, n: int, seed, chunk_size: int = 1 << 16):
+    """Draw n i.i.d. pairs from P_XS, deterministically given the seed.
+
+    Sampling is performed in fixed-size chunks with per-chunk substreams
+    derived from the seed, so parallel evaluation of chunks cannot change
+    the result.
+    """
+    if n < 1:
+        raise ValueError(f"sequence length must be >= 1, got {n}")
+    instance = f.validate(instance) if isinstance(instance, f.Instance) else instance
+    src = instance.source if isinstance(instance, f.Instance) else instance
+    flat = src.pmf.ravel()
+    idx = np.concatenate([rng.choice(flat.size, size=m, p=flat)
+                          for rng, m in chunk_streams(n, seed, chunk_size)])
+    return f.SequencePair(x=idx // src.s_size, s=idx % src.s_size)
+
+
+def sequence_distortion(x_seq, y_seq, dist) -> float:
+    """Arithmetic mean of per-letter distortions along a sequence pair."""
+    x_seq = np.asarray(x_seq)
+    y_seq = np.asarray(y_seq)
+    if x_seq.shape != y_seq.shape:
+        raise ValidationError(
+            f"length mismatch: {x_seq.shape} source symbols vs {y_seq.shape} reproductions"
+        )
+    if len(x_seq) == 0:
+        raise ValidationError("sequences must have length >= 1")
+    return float(dist.d[x_seq, y_seq].mean())
+
+
+def gaussian_tilted_density(model, x_seq, s_seq) -> float:
+    """Tilted information density of a Gaussian sequence pair, in nats.
+
+    (n/2) ln(var/D) + |x - mu(s)|^2 / (2 var) - n/2 with var = var_x_given_s.
+    """
+    x_seq = np.asarray(x_seq, dtype=float)
+    s_seq = np.asarray(s_seq, dtype=float)
+    if x_seq.shape != s_seq.shape:
+        raise ValidationError("x and s sequences must have equal length")
+    n = x_seq.size
+    var = model.var_x_given_s
+    resid = x_seq - model.mu(s_seq)
+    return (0.5 * n * math.log(var / model.distortion)
+            + float(resid @ resid) / (2.0 * var) - 0.5 * n)

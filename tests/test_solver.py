@@ -293,9 +293,14 @@ def test_solves_at_the_feasibility_floor(budget):
     assert sol.rate == pytest.approx(exact, abs=10.0 * tol)
 
 
-# Two points of a catalogue of random models (fblbench/workloads.py shapes,
-# catalogue seeds 0 and 2) where warm starts that mixed uniform mass into
-# every output stalled the slope search: 590k and 547k inner iterations.
+# Points of a catalogue of random models (fblbench/workloads.py shapes at
+# catalogue seeds 0..5, tools/stall_scan.py) where the slope search stalled.
+# At the first two, warm starts that mixed uniform mass into every output
+# took 590k and 547k inner iterations.  At the last two (the first is the
+# characterize query random5-collapsed at D = 0.20898134319989187), a probe
+# whose solution drops an output from the support decays geometrically with
+# ratio near 1: 131k and 394k iterations while the Newton polish waited for
+# a flat certificate.
 STALL_POINTS = {
     "cat0-6x2x6-t0.15": (
         [[0.11297368552580746, 0.04567872510874555], [0.022370161516115785, 0.0094222742655823],
@@ -326,26 +331,50 @@ STALL_POINTS = {
          [0.2556401443782569, 0.40004197648719275, 0.10096843671984723, 0.14637315025416087,
           0.5650152347084896]],
         0.9),
+    # default_rng(1), shape index 5, side information collapsed
+    "cat1-6x2x6-collapsed-t0.3": (
+        [[0.12001835721043236], [0.1796102040673282], [0.23289489214683756],
+         [0.14611433597525147], [0.1642873392799562], [0.15707487132019435]],
+        [[0.06625500308532317, 0.6809667073821352, 0.9239861394890241, 0.79236850187799,
+          0.02145433492155102, 0.03896848194408775],
+         [0.5126584980908546, 0.5732641256148879, 0.6063464038688403, 0.8760248254439775,
+          0.897865788127695, 0.9892944308928157],
+         [0.3336362814836187, 0.4685438744054826, 0.9936293129383679, 0.7003627951620519,
+          0.05743491502267484, 0.9095515927383747],
+         [0.6166727366896131, 0.19371225176752527, 0.34772905472451865, 0.5776592921086124,
+          0.6527664441151828, 0.410728475381375],
+         [0.7443590959461956, 0.5328265257248977, 0.9747578061892133, 0.8534960630493873,
+          0.1500965432951359, 0.10308769141213059],
+         [0.8535295930326651, 0.6077306724577283, 0.9762235664604278, 0.43583477946261906,
+          0.17929837332666654, 0.036988346375273595]],
+        0.3),
+    # default_rng(4), shape index 0
+    "cat4-2x2x3-t0.75": (
+        [[0.17125471740730697, 0.32990939918812784], [0.14138138203392275, 0.3574545013706425]],
+        [[0.08489445698565479, 0.9398241868920435, 0.2414614867733268],
+         [0.9631421218955571, 0.23207460919294987, 0.5353848648366618]],
+        0.75),
 }
-# inner iterations allowed per point; the search takes 36k and 77k of them
-STALL_BUDGET = 150_000
+# inner iterations allowed per point; the search takes 5.6k to 15k of them
+STALL_BUDGET = 30_000
 
 
-@pytest.mark.parametrize("point", sorted(STALL_POINTS))
-def test_stall_catalogue_within_iteration_budget(point, monkeypatch):
-    pmf, d, t = STALL_POINTS[point]
-    inst = f.validate(f.JointSource(np.array(pmf)), f.DistortionSpec(d))
-    budget = inst.d_floor + t * (inst.zero_rate_distortion - inst.d_floor)
-    # count each fixed-slope solve the search receives once: the linear
-    # solver hands steep slopes and fresh restarts to solver functions it
-    # looks up by name, so nested calls return through the outer one
+def count_outer_iterations(monkeypatch, slopes=None):
+    """Record the inner iterations of each fixed-slope solve of the search.
+
+    Each solve is counted once: a fresh restart calls the solver again by
+    name and returns through the outer call.  The slope of every call,
+    nested ones included, goes to ``slopes`` when given.
+    """
     solve = solver._lagrangian_solve
     iterations, depth = [], [0]
 
-    def counted(*args, **kwargs):
+    def counted(cond, w, dmat, lam, **kwargs):
+        if slopes is not None:
+            slopes.append(lam)
         depth[0] += 1
         try:
-            res = solve(*args, **kwargs)
+            res = solve(cond, w, dmat, lam, **kwargs)
         finally:
             depth[0] -= 1
         if depth[0] == 0:
@@ -353,6 +382,76 @@ def test_stall_catalogue_within_iteration_budget(point, monkeypatch):
         return res
 
     monkeypatch.setattr(solver, "_lagrangian_solve", counted)
+    return iterations
+
+
+@pytest.mark.parametrize("point", sorted(STALL_POINTS))
+def test_stall_catalogue_within_iteration_budget(point, monkeypatch):
+    pmf, d, t = STALL_POINTS[point]
+    inst = f.validate(f.JointSource(np.array(pmf)), f.DistortionSpec(d))
+    budget = inst.d_floor + t * (inst.zero_rate_distortion - inst.d_floor)
+    iterations = count_outer_iterations(monkeypatch)
     sol = f.solve_crd(inst, budget, tol=1e-9)
     assert sol.distortion <= budget + 1e-12
     assert sum(iterations) <= STALL_BUDGET
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_log_kernel_matches_linear_kernel(seed, monkeypatch):
+    # at slopes where exp(-lam d) is in range both kernels apply, and the
+    # same iteration on either gives the same solution
+    rng = np.random.default_rng(seed)
+    pmf = rng.dirichlet(np.full(8, 2.0)).reshape(4, 2)
+    d = rng.uniform(0.0, 1.0, size=(4, 5))
+    cond, w = (pmf / pmf.sum(axis=0)).T.copy(), pmf.sum(axis=0)
+    for lam in (0.5, 3.0, 20.0, 100.0):
+        linear = solver._lagrangian_solve(cond, w, d, lam, gap_tol=1e-13)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_LOG_KERNEL_EXPONENT", 0.0)
+            log = solver._lagrangian_solve(cond, w, d, lam, gap_tol=1e-13)
+        assert w @ log.rate_s == pytest.approx(w @ linear.rate_s, abs=1e-12)
+        assert w @ log.dist_s == pytest.approx(w @ linear.dist_s, abs=1e-12)
+
+
+def test_near_floor_solves_on_the_log_kernel(monkeypatch):
+    inst = f.validate(f.JointSource(np.array(FLOOR_PMF)), f.DistortionSpec(FLOOR_D))
+    spread = float(np.ptp(inst.dist.d, axis=1).max())
+    slopes = []
+    iterations = count_outer_iterations(monkeypatch, slopes)
+    tol = 1e-9
+    sol = f.solve_crd(inst, inst.d_floor + 1e-6, tol=tol)
+    assert max(slopes) * spread > solver._LOG_KERNEL_EXPONENT
+    assert sum(iterations) <= STALL_BUDGET
+    assert abs(sol.rate - sol.rate_lower) <= 10.0 * tol
+
+
+# Newton subset solves allowed per solve_crd call: the polish enumerates
+# subsets of the active outputs, which is exponential in their number
+POLISH_SUBSET_BUDGET = 4096
+
+
+@pytest.mark.parametrize("shape", [(10, 2, 10), (12, 1, 14), (16, 2, 16)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_polish_cost_on_large_alphabets(shape, monkeypatch):
+    nx, ns, ny = shape
+    rng = np.random.default_rng(0)
+    pmf = rng.dirichlet(np.full(nx * ns, 2.0)).reshape(nx, ns)
+    d = rng.uniform(0.0, 1.0, size=(nx, ny))
+    inst = f.validate(f.JointSource(pmf), f.DistortionSpec(d))
+    newton = solver._newton_support
+    subsets = [0]
+
+    def counted(*args):
+        subsets[0] += 1
+        return newton(*args)
+
+    monkeypatch.setattr(solver, "_newton_support", counted)
+    iterations = count_outer_iterations(monkeypatch)
+    for t in (0.15, 0.45, 0.75):
+        iterations.clear()
+        subsets[0] = 0
+        budget = inst.d_floor + t * (inst.zero_rate_distortion - inst.d_floor)
+        sol = f.solve_crd(inst, budget, tol=1e-9)
+        assert sol.distortion <= budget + 1e-12
+        assert sum(iterations) <= STALL_BUDGET
+        assert subsets[0] <= POLISH_SUBSET_BUDGET

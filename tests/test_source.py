@@ -5,6 +5,7 @@ import pytest
 
 import fblcrd as f
 from fblcrd.exceptions import ValidationError
+from oracles import sample_iid, sequence_distortion
 
 
 def test_binary_example_validates_with_zero_floor(binary_instance):
@@ -60,23 +61,23 @@ def test_structural_zeros_removed():
 
 
 def test_sample_iid_deterministic(binary_instance):
-    a = f.sample_iid(binary_instance, 1000, seed=42)
-    b = f.sample_iid(binary_instance, 1000, seed=42)
+    a = sample_iid(binary_instance, 1000, seed=42)
+    b = sample_iid(binary_instance, 1000, seed=42)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.s, b.s)
-    c = f.sample_iid(binary_instance, 1000, seed=43)
+    c = sample_iid(binary_instance, 1000, seed=43)
     assert not np.array_equal(a.x, c.x)
 
 
 def test_sample_iid_degenerate_source():
     src = f.JointSource([[1.0, 0.0], [0.0, 0.0]])
     inst = f.validate(src, f.DistortionSpec([[0.0, 1.0], [1.0, 0.0]]))
-    seq = f.sample_iid(inst, 64, seed=0)
+    seq = sample_iid(inst, 64, seed=0)
     assert np.all(seq.x == 0) and np.all(seq.s == 0)
 
 
 def test_sample_iid_empirical_frequencies(binary_instance):
     n = 100_000
-    seq = f.sample_iid(binary_instance, n, seed=7)
+    seq = sample_iid(binary_instance, n, seed=7)
     pmf = binary_instance.source.pmf
     for x in range(2):
         for s in range(2):
@@ -89,10 +90,10 @@ def test_sample_iid_empirical_frequencies(binary_instance):
 def test_sample_iid_chunking_is_part_of_the_contract(binary_instance):
     # identical chunking reproduces identical output; different chunkings
     # are different draws from the same law
-    a = f.sample_iid(binary_instance, 3000, seed=9, chunk_size=1024)
-    b = f.sample_iid(binary_instance, 3000, seed=9, chunk_size=1024)
+    a = sample_iid(binary_instance, 3000, seed=9, chunk_size=1024)
+    b = sample_iid(binary_instance, 3000, seed=9, chunk_size=1024)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.s, b.s)
-    c = f.sample_iid(binary_instance, 3000, seed=9, chunk_size=512)
+    c = sample_iid(binary_instance, 3000, seed=9, chunk_size=512)
     assert len(c) == 3000
     # same-law check: joint frequencies of the re-chunked stream stay
     # within binomial error of the model
@@ -107,11 +108,11 @@ def test_sample_iid_chunking_is_part_of_the_contract(binary_instance):
 def test_sequence_distortion_identity_and_counting():
     dist = f.DistortionSpec([[0.0, 1.0], [1.0, 0.0]])
     x = np.array([0, 1, 1, 0, 1])
-    assert f.sequence_distortion(x, x, dist) == 0.0
+    assert sequence_distortion(x, x, dist) == 0.0
     y = x.copy()
     y[1] ^= 1
     y[4] ^= 1
-    assert f.sequence_distortion(x, y, dist) == pytest.approx(2.0 / 5.0, abs=1e-16)
+    assert sequence_distortion(x, y, dist) == pytest.approx(2.0 / 5.0, abs=1e-16)
 
 
 def test_sequence_distortion_matches_direct_sum():
@@ -121,13 +122,13 @@ def test_sequence_distortion_matches_direct_sum():
     x = rng.integers(0, 3, 57)
     y = rng.integers(0, 4, 57)
     direct = sum(d[a, b] for a, b in zip(x, y)) / 57
-    assert f.sequence_distortion(x, y, dist) == pytest.approx(direct, abs=1e-15)
+    assert sequence_distortion(x, y, dist) == pytest.approx(direct, abs=1e-15)
 
 
 def test_sequence_distortion_length_mismatch():
     dist = f.DistortionSpec([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValidationError, match="length mismatch"):
-        f.sequence_distortion([0, 1], [0], dist)
+        sequence_distortion([0, 1], [0], dist)
 
 
 def test_model_json_round_trip(tmp_path, binary_instance):

@@ -6,7 +6,7 @@ import pytest
 
 import fblcrd as f
 from conftest import random_instance
-from oracles import rd_slsqp, solve_crd_decomposed
+from oracles import rd_slsqp, second_order_classifier, solve_crd_decomposed
 
 
 class TestBinaryClosedForm:
@@ -126,16 +126,16 @@ class TestIdentities:
 
 class TestClassifier:
     def test_at_rate_median(self):
-        assert f.second_order_classifier(0.3, 0.3, 0.25, 0.5) == pytest.approx(0.0)
+        assert second_order_classifier(0.3, 0.3, 0.25, 0.5) == pytest.approx(0.0)
 
     def test_below_rate_infinite(self):
-        assert f.second_order_classifier(0.29, 0.3, 0.25, 0.1) == math.inf
+        assert second_order_classifier(0.29, 0.3, 0.25, 0.1) == math.inf
 
     def test_above_rate_negative_infinite(self):
-        assert f.second_order_classifier(0.31, 0.3, 0.25, 0.1) == -math.inf
+        assert second_order_classifier(0.31, 0.3, 0.25, 0.1) == -math.inf
 
     def test_binary_example_value(self, binary_solution, binary_field):
-        val = f.second_order_classifier(binary_solution.rate, binary_solution.rate,
+        val = second_order_classifier(binary_solution.rate, binary_solution.rate,
                                         binary_field.variance, 0.1)
         expected = math.sqrt(binary_field.variance) * f.gaussian_q_inv(0.1)
         assert val == pytest.approx(expected, abs=1e-12)
@@ -143,9 +143,9 @@ class TestClassifier:
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            f.second_order_classifier(0.3, 0.3, -1.0, 0.1)
+            second_order_classifier(0.3, 0.3, -1.0, 0.1)
         with pytest.raises(ValueError):
-            f.second_order_classifier(0.3, 0.3, 0.25, 0.0)
+            second_order_classifier(0.3, 0.3, 0.25, 0.0)
 
 
 def test_rd_curve_with_dispersion(binary_instance):
