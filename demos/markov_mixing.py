@@ -6,9 +6,9 @@ are those of the stationary i.i.d. instance, but the dispersion becomes
     V_inf = var(j) + 2 sum_k cov[j_1, j_{1+k}],
 
 computed here two independent ways: by truncating the covariance ladder,
-and by reweighting each transition-matrix eigenvalue lambda by
-(1 + lambda)/(1 - lambda).  A sticky chain pays a visibly larger
-second-order penalty than its memoryless twin.
+and in closed form from the fundamental matrix Z = (I - Xi + 1 pi)^-1 as
+pi . (j o (2 Z - I) j) for the centred density j.  A sticky chain pays a
+visibly larger second-order penalty than its memoryless twin.
 
 Run:  python demos/markov_mixing.py
 """
@@ -50,8 +50,8 @@ print(" flip    mu        lag0      V_inf(ladder)  V_inf(spectral)  "
 for flip in (0.4, 0.2, 0.1, 0.05):
     model = sticky_chain(flip)
     qt = f.markov_tilted_quantities(model, D)
-    spectral = f.v_inf_spectral(model, D, quantities=qt)
-    rate = f.markov_second_order_rate(model, D, 500, 0.1, quantities=qt)
+    spectral = f.v_inf_spectral(model, qt)
+    rate = f.second_order_rate(500, 0.1, qt.mu, qt.ladder.v_inf)
     print(f" {flip:.2f}   {qt.mu:.6f}  {qt.ladder.lag0:.6f}    "
           f"{qt.ladder.v_inf:.6f}       {spectral:.6f}        {rate:.6f}")
 
@@ -65,8 +65,9 @@ print("    n     V_n")
 for k in range(2, 13, 2):
     n = 2 ** k
     print(f"{n:6d}   {f.v_n(qt.ladder, n):.8f}")
+remainder = f.v_inf_spectral(model, qt) - qt.ladder.v_inf
 print(f"  inf    {qt.ladder.v_inf:.8f}   "
-      f"(ladder truncation remainder {qt.ladder.tail_bound:.1e})")
+      f"(ladder truncation remainder {remainder:.1e})")
 
 print("\n=== sampled path agrees with the ladder at lag 1 ===")
 path = f.sample_markov(model, 200_000, seed=9)

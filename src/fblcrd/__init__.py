@@ -57,7 +57,6 @@ from .markov import (
     MarkovTiltedQuantities,
     iid_kernel,
     load_markov_model,
-    markov_second_order_rate,
     markov_tilted_quantities,
     sample_markov,
     stationary_law,

@@ -497,18 +497,17 @@ def simulate_random_code(query: FblQuery, solution: CrdSolution,
 
 
 def achievable_rate_estimate(solution: CrdSolution, n: int, eps: float,
-                             trials: int, seed=0, chunk_size=_MC_CHUNK,
-                             distortion: float | None = None):
+                             trials: int, seed=0):
     """Smallest rate at which the simulated random-coding bound meets eps.
 
     The per-trial cover probabilities do not depend on the codebook size,
     so one batch of trials supports the whole bisection over ln M.
     Returns (rate, cover probabilities) for downstream error assessment.
     """
-    D = solution.target_distortion if distortion is None else distortion
+    D = solution.target_distortion
     conv = _DistortionConvolver(solution, n, _codeword_laws(solution))
     p = np.concatenate([conv.trial_probs(rng, m, 0.0, n * D)
-                        for rng, m in chunk_streams(trials, seed, chunk_size)])
+                        for rng, m in chunk_streams(trials, seed, _MC_CHUNK)])
 
     def eps_hat(log_m):
         return float(pow_one_minus(p, log_m).mean())
@@ -558,8 +557,7 @@ def _forward_params(query, conv, seed):
 
 def forward_bound(query: FblQuery, solution: CrdSolution, field: TiltedField,
                   sums: SumDistribution, params: ForwardBoundParams | None = None,
-                  trials: int = 1024, seed=0, chunk_size=_MC_CHUNK,
-                  threads: int = 1) -> BoundResult:
+                  trials: int = 1024, seed=0, threads: int = 1) -> BoundResult:
     """Three-term achievability bound.
 
     ``sums`` is the n-letter tilted-sum distribution of ``field``.
@@ -584,7 +582,7 @@ def forward_bound(query: FblQuery, solution: CrdSolution, field: TiltedField,
     def trial_fn(rng, m):
         return np.maximum(1.0 - params.beta * conv.trial_probs(rng, m, lo_val, hi_val), 0.0)
 
-    est = chunked_monte_carlo(trials, seed, trial_fn, chunk_size=chunk_size,
+    est = chunked_monte_carlo(trials, seed, trial_fn, chunk_size=_MC_CHUNK,
                               threads=threads)
     t2 = est.mean
 

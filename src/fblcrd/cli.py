@@ -36,8 +36,8 @@ from .exceptions import ConvergenceError, InfeasibleDistortionError, ValidationE
 from .gaussian import GaussianModel, gaussian_converse_eps, gaussian_crd, \
     gaussian_second_order_rate, gaussian_simulate, sphere_cap_bound, \
     GAUSSIAN_DISPERSION
-from .markov import load_markov_model, markov_second_order_rate, \
-    markov_tilted_quantities, v_inf_spectral, v_n as ladder_v_n
+from .markov import load_markov_model, markov_tilted_quantities, v_inf_spectral, \
+    v_n as ladder_v_n
 from .solver import solve_crd
 from .source import load_model
 from .tilted import dispersion_v, tilted_density
@@ -253,7 +253,7 @@ def _run_markov(args):
     model = load_markov_model(args.model)
     u = _scale(args)
     quantities = markov_tilted_quantities(model, args.D, tol=args.tol)
-    spectral = v_inf_spectral(model, args.D, quantities=quantities)
+    spectral = v_inf_spectral(model, quantities)
     ladder = quantities.ladder
     rows = []
     for n in args.n:
@@ -264,16 +264,16 @@ def _run_markov(args):
             "v_n": ladder_v_n(ladder, n) * u * u,
             "v_inf_ladder": ladder.v_inf * u * u,
             "v_inf_spectral": spectral * u * u,
-            "second_order_rate": markov_second_order_rate(
-                model, args.D, n, args.eps, quantities=quantities) * u,
+            "second_order_rate": second_order_rate(
+                n, args.eps, quantities.mu, max(ladder.v_inf, 0.0)) * u,
         })
     provenance = {
         "n": "input list",
         "mu": "solver at the stationary law",
         "lag0": "stationary variance of the tilted density",
         "v_n": "covariance ladder, exact finite-n combination",
-        "v_inf_ladder": "covariance ladder with geometric tail bound",
-        "v_inf_spectral": "eigendecomposition reweighting (ladder fallback)",
+        "v_inf_ladder": "covariance ladder, truncated after 5 lags below 1e-14 or at 10000",
+        "v_inf_spectral": "fundamental-matrix closed form pi.(jt o (2Z - I) jt)",
         "second_order_rate": "mu + sqrt(v_inf/n) Qinv(eps)",
     }
     return rows, provenance

@@ -36,6 +36,10 @@ from .mc import McEstimate, chunk_streams, chunked_monte_carlo
 GAUSSIAN_DISPERSION = 0.5
 
 _MC_CHUNK = 1 << 14
+#: Relative tolerance of the sphere-cap quadrature.
+_CAP_QUAD_TOL = 1e-8
+#: Largest codebook gaussian_simulate's empirical mode samples.
+_EMPIRICAL_CODEBOOK_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -101,8 +105,7 @@ def gaussian_crd(model: GaussianModel) -> float:
     return 0.5 * math.log(model.var_x_given_s / model.distortion)
 
 
-def tilted_density_samples(model: GaussianModel, count: int, seed=0,
-                           chunk_size: int = _MC_CHUNK) -> np.ndarray:
+def tilted_density_samples(model: GaussianModel, count: int, seed=0) -> np.ndarray:
     """Per-letter tilted-density samples from fresh (X, S) draws.
 
     Useful for checking that the per-letter variance is 1/2 nats^2
@@ -111,7 +114,7 @@ def tilted_density_samples(model: GaussianModel, count: int, seed=0,
     rate = gaussian_crd(model)
     var = model.var_x_given_s
     out = []
-    for rng, m in chunk_streams(count, seed, chunk_size):
+    for rng, m in chunk_streams(count, seed, _MC_CHUNK):
         x = rng.standard_normal(m) * math.sqrt(model.var_x)
         z = rng.standard_normal(m) * math.sqrt(model.var_z)
         resid = x - model.mu(x + z)
@@ -137,8 +140,7 @@ def _log_sakrison_prefactor(n):
         math.sqrt(math.pi) * n)
 
 
-def sphere_cap_bound(model: GaussianModel, n: int, log_m: float,
-                     quad_tol: float = 1e-8) -> float:
+def sphere_cap_bound(model: GaussianModel, n: int, log_m: float) -> float:
     """Upper bound on eps_n for the sphere-cap codebook, by quadrature.
 
     Integrates (1 - f)^M against the chi-square law of the normalized
@@ -170,9 +172,9 @@ def sphere_cap_bound(model: GaussianModel, n: int, log_m: float,
     breakpoint_w = _covering_transition(n, model, log_m, w1, w2, log_pref)
     points = [breakpoint_w] if breakpoint_w is not None else None
     integral, err = integrate.quad(integrand, w1, w2, epsabs=1e-12,
-                                   epsrel=quad_tol, limit=400, points=points)
+                                   epsrel=_CAP_QUAD_TOL, limit=400, points=points)
     if not np.isfinite(integral) or (integral > 0 and err > max(
-            10 * quad_tol * integral, 1e-9)):
+            10 * _CAP_QUAD_TOL * integral, 1e-9)):
         raise ConvergenceError(
             f"cap-area quadrature did not converge: value {integral!r}, residual {err!r}",
             gap=err,
@@ -216,8 +218,7 @@ def _exact_cap_fraction(cos_theta, n):
 
 
 def gaussian_simulate(model: GaussianModel, n: int, log_m: float, trials: int,
-                      seed=0, mode: str = "analytic-cap", codebook_size_cap: int = 4096,
-                      chunk_size: int = _MC_CHUNK, threads: int = 1) -> McEstimate:
+                      seed=0, mode: str = "analytic-cap", threads: int = 1) -> McEstimate:
     """Monte-Carlo estimate of the sphere-cap codebook excess probability.
 
     analytic-cap mode draws only the residual radius (its law is
@@ -232,7 +233,7 @@ def gaussian_simulate(model: GaussianModel, n: int, log_m: float, trials: int,
         def trial_zero(rng, m):
             w = rng.chisquare(n, size=m)
             return (w > n * D / var).astype(float)
-        return chunked_monte_carlo(trials, seed, trial_zero, chunk_size=chunk_size,
+        return chunked_monte_carlo(trials, seed, trial_zero, chunk_size=_MC_CHUNK,
                                    threads=threads)
     params = sphere_cap_params(model, n, log_m)
     if mode == "analytic-cap":
@@ -247,14 +248,14 @@ def gaussian_simulate(model: GaussianModel, n: int, log_m: float, trials: int,
             if params.r1 < 0:
                 out[xi <= -params.r1] = 0.0
             return out
-        return chunked_monte_carlo(trials, seed, trial_fn, chunk_size=chunk_size,
+        return chunked_monte_carlo(trials, seed, trial_fn, chunk_size=_MC_CHUNK,
                                    threads=threads)
     if mode == "empirical":
         m_size = math.exp(log_m)
         m_int = int(round(m_size))
-        if abs(m_size - m_int) > 1e-6 or m_int < 1 or m_int > codebook_size_cap:
+        if abs(m_size - m_int) > 1e-6 or m_int < 1 or m_int > _EMPIRICAL_CODEBOOK_CAP:
             raise ValueError(
-                f"empirical mode needs an integer codebook size <= {codebook_size_cap}"
+                f"empirical mode needs an integer codebook size <= {_EMPIRICAL_CODEBOOK_CAP}"
             )
 
         def trial_emp(rng, m):
@@ -265,7 +266,7 @@ def gaussian_simulate(model: GaussianModel, n: int, log_m: float, trials: int,
             sq = ((resid[:, None, :] - codewords) ** 2).sum(axis=2)
             return (sq.min(axis=1) > n * D).astype(float)
         return chunked_monte_carlo(trials, seed, trial_emp,
-                                   chunk_size=min(chunk_size, 1024), threads=threads)
+                                   chunk_size=1024, threads=threads)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -10,10 +10,10 @@ chain:
     V_n    = lag0 + (2/n) sum_{k=1}^{n} (n - k) cov_k,
     V_inf  = lag0 + 2 sum_{k>=1} cov_k,
 
-where cov_k decays geometrically for this chain class.  V_inf is computed
-two ways — by truncating the covariance ladder and, for diagonalizable
-transition matrices, by reweighting the eigenvalue lambda_i contributions
-with (1 + lambda_i)/(1 - lambda_i) — and the two must agree.
+where cov_k decays geometrically for this chain class.  V_inf has the
+closed form pi . (jt o (2 Z - I) jt) with the fundamental matrix
+Z = (I - Xi + 1 pi)^-1 (Kemeny & Snell, Finite Markov Chains, 1960); the
+covariance ladder gives the lags themselves and V_n.
 
 Joint states are indexed as x * s_size + s throughout.
 """
@@ -21,13 +21,11 @@ Joint states are indexed as x * s_size + s throughout.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csgraph
 
-from .coremath import gaussian_q_inv
 from .exceptions import ValidationError
 from .solver import CrdSolution, solve_crd
 from .source import DistortionSpec, Instance, JointSource, SequencePair, validate
@@ -35,7 +33,6 @@ from .tilted import TiltedField, tilted_density
 
 _LADDER_FLOOR = 1e-14
 _LADDER_MAX_LAG = 10_000
-_EIG_COND_LIMIT = 1e10
 #: Steps composed together by sample_markov; bounds its table to k x 2^12.
 _SAMPLE_BLOCK = 1 << 12
 
@@ -43,28 +40,21 @@ _SAMPLE_BLOCK = 1 << 12
 def stationary_law(xi) -> np.ndarray:
     """Unique stationary distribution of an irreducible row-stochastic matrix.
 
-    Eigenvector extraction with a power-iteration fallback; the returned
-    law satisfies pi @ xi = pi with residual below 1e-12.
+    One linear solve, pi (I - Xi + 1 1^T) = 1^T, whose matrix is
+    nonsingular for an irreducible chain; the returned law satisfies
+    pi @ xi = pi with residual below 1e-12.  Entries below the solve's
+    rounding (about 1e-16) can come out negative and are set to 0.
     """
     xi = np.asarray(xi, dtype=float)
     _check_stochastic(xi)
     _check_irreducible(xi)
-    vals, vecs = np.linalg.eig(xi.T)
-    idx = int(np.argmin(np.abs(vals - 1.0)))
-    pi = np.real(vecs[:, idx])
-    pi = np.abs(pi)
-    pi /= pi.sum()
+    k = xi.shape[0]
+    pi = np.linalg.solve((np.eye(k) - xi + 1.0).T, np.ones(k))
+    np.maximum(pi, 0.0, out=pi)
     residual = np.abs(pi @ xi - pi).max()
     if residual > 1e-12:
-        for _ in range(100_000):
-            pi = pi @ xi
-            pi /= pi.sum()
-            residual = np.abs(pi @ xi - pi).max()
-            if residual <= 1e-13:
-                break
-    if residual > 1e-12:
         raise ValidationError(
-            f"stationary law did not converge: residual {residual:g}"
+            f"stationary law solve is inaccurate: residual {residual:g} > 1e-12"
         )
     return pi
 
@@ -166,15 +156,13 @@ def load_markov_model(path) -> MarkovModel:
 class CovarianceLadder:
     """Lag covariances of the tilted density along the chain.
 
-    tail_bound is the geometric-extrapolation remainder of the truncated
-    series; decay_rate is the fitted ratio (below 1 for a mixing chain).
+    v_inf is lag0 + 2 sum(covs), the truncated series; its remainder is
+    exactly v_inf_spectral - v_inf.
     """
 
     lag0: float
     covs: np.ndarray
     v_inf: float
-    tail_bound: float
-    decay_rate: float
 
 
 @dataclass(frozen=True)
@@ -188,14 +176,13 @@ class MarkovTiltedQuantities:
 
 
 def markov_tilted_quantities(model: MarkovModel, distortion: float,
-                             tol: float = 1e-9,
-                             max_lag: int = _LADDER_MAX_LAG) -> MarkovTiltedQuantities:
+                             tol: float = 1e-9) -> MarkovTiltedQuantities:
     """Rate and covariance ladder of the tilted density at the stationary law.
 
     Lag-k covariances are exact matrix computations,
     cov_k = sum_{u,v} pi(u) Xi^k(u, v) jt(u) jt(v) with jt centered, iterated
     by repeated multiplication; the ladder stops after five consecutive lags
-    below 1e-14 or at max_lag.
+    below 1e-14 or at 10,000 lags.
     """
     inst = model.stationary_instance()
     solution = solve_crd(inst, distortion, tol=tol)
@@ -207,7 +194,7 @@ def markov_tilted_quantities(model: MarkovModel, distortion: float,
     covs = []
     w = jt.copy()
     below = 0
-    for _ in range(max_lag):
+    for _ in range(_LADDER_MAX_LAG):
         w = model.xi @ w
         c = float(model.pi @ (jt * w))
         covs.append(c)
@@ -215,28 +202,8 @@ def markov_tilted_quantities(model: MarkovModel, distortion: float,
         if below >= 5:
             break
     covs = np.array(covs)
-    decay_rate, tail = _geometric_tail(covs)
-    v_inf = lag0 + 2.0 * float(covs.sum())
-    ladder = CovarianceLadder(lag0=lag0, covs=covs, v_inf=v_inf,
-                              tail_bound=tail, decay_rate=decay_rate)
+    ladder = CovarianceLadder(lag0=lag0, covs=covs, v_inf=lag0 + 2.0 * float(covs.sum()))
     return MarkovTiltedQuantities(mu=mu, field=field, solution=solution, ladder=ladder)
-
-
-def _geometric_tail(covs):
-    """Fit |cov_k| <= A r^k and bound the truncated remainder."""
-    mags = np.abs(covs)
-    pos = np.flatnonzero(mags > 0)
-    if pos.size < 2:
-        return 0.0, 0.0
-    k = pos + 1.0
-    slope, intercept = np.polyfit(k, np.log(mags[pos]), 1)
-    r = min(math.exp(slope), 0.999999)
-    if r <= 0:
-        return 0.0, 0.0
-    a = math.exp(intercept)
-    k_last = len(covs)
-    tail = 2.0 * a * r ** (k_last + 1) / (1.0 - r)
-    return r, tail
 
 
 def v_n(ladder: CovarianceLadder, n: int) -> float:
@@ -254,51 +221,18 @@ def v_n(ladder: CovarianceLadder, n: int) -> float:
     return ladder.lag0 + (2.0 / n) * float(((n - k) * ladder.covs[:k_max]).sum())
 
 
-def v_inf_spectral(model: MarkovModel, distortion: float,
-                   quantities: MarkovTiltedQuantities | None = None,
-                   tol: float = 1e-9) -> float:
-    """Asymptotic variance via the eigendecomposition of the transition matrix.
+def v_inf_spectral(model: MarkovModel, quantities: MarkovTiltedQuantities) -> float:
+    """Asymptotic variance in closed form from the fundamental matrix.
 
-    For diagonalizable Xi with eigenvalues {1, lambda_2, ...}, the summed
-    lag covariances reweight each eigencomponent by (1 + lambda)/(1 - lambda)
-    (the unit eigenvalue keeps weight 1; the centered density has no mass on
-    it).  Ill-conditioned eigenbases fall back to the covariance ladder with
-    a warning.
+    With A = Xi - 1 pi, A^k = Xi^k - 1 pi for k >= 1 and the centred
+    density has pi . jt = 0, so sum_{k>=1} cov_k = pi . (jt o (Z - I) jt)
+    with Z = (I - A)^-1 = (I - Xi + 1 pi)^-1, and
+    V_inf = pi . (jt o (2 Z - I) jt): one linear solve, exact for every
+    irreducible aperiodic chain, diagonalizable or not.
     """
-    if quantities is None:
-        quantities = markov_tilted_quantities(model, distortion, tol=tol)
     jt = quantities.field.table.reshape(-1) - quantities.mu
-    vals, vecs = np.linalg.eig(model.xi)
-    cond = np.linalg.cond(vecs)
-    if not np.isfinite(cond) or cond > _EIG_COND_LIMIT:
-        warnings.warn(
-            f"eigenbasis condition number {cond:g} exceeds the guard; "
-            "falling back to the covariance ladder",
-            RuntimeWarning,
-        )
-        return quantities.ladder.v_inf
-    unit = int(np.argmin(np.abs(vals - 1.0)))
-    weights = np.empty(len(vals), dtype=complex)
-    for i, lam in enumerate(vals):
-        weights[i] = 1.0 if i == unit else (1.0 + lam) / (1.0 - lam)
-    coeff = np.linalg.solve(vecs, jt.astype(complex))
-    weighted = vecs @ (weights * coeff)
-    v = model.pi @ (jt * weighted)
-    if abs(v.imag) > 1e-8 * max(1.0, abs(v.real)):
-        warnings.warn("spectral variance has a non-trivial imaginary part; "
-                      "falling back to the covariance ladder", RuntimeWarning)
-        return quantities.ladder.v_inf
-    return float(v.real)
-
-
-def markov_second_order_rate(model: MarkovModel, distortion: float, n: int,
-                             eps: float,
-                             quantities: MarkovTiltedQuantities | None = None) -> float:
-    """Second-order rate prediction mu + sqrt(V_inf / n) Q^{-1}(eps)."""
-    if quantities is None:
-        quantities = markov_tilted_quantities(model, distortion)
-    return quantities.mu + math.sqrt(max(quantities.ladder.v_inf, 0.0) / n) \
-        * gaussian_q_inv(eps)
+    z_jt = np.linalg.solve(np.eye(model.k) - model.xi + model.pi[None, :], jt)
+    return float(model.pi @ (jt * (2.0 * z_jt - jt)))
 
 
 def sample_markov(model: MarkovModel, n: int, seed=0) -> SequencePair:

@@ -46,6 +46,8 @@ _MAX_ITER = 400_000
 # lam * (within-row spread of d) above which exp(-lam d) leaves float range
 # and the fixed-slope iteration runs on the log of the kernel
 _LOG_KERNEL_EXPONENT = 400.0
+#: Solver tolerance of the solves behind rd_gradient's finite differences.
+_GRADIENT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -515,41 +517,18 @@ class PerStateSolution:
 def solve_rd_per_state(px, dist, target_d: float, tol: float = 1e-9) -> PerStateSolution:
     """Rate-distortion function of a single source at distortion target_d.
 
-    Returns rate 0 exactly once target_d reaches the distortion of the best
-    constant-output code; raises InfeasibleDistortionError below the floor
-    E[min_y d(X, y)].
+    solve_crd on the one-state instance with source pmf px: rate 0 exactly
+    once target_d reaches the distortion of the best constant-output code,
+    InfeasibleDistortionError below the floor E[min_y d(X, y)], and the
+    rate certified against Blahut's dual bound.
     """
     px = np.asarray(px, dtype=float)
-    if not isinstance(dist, DistortionSpec):
-        dist = DistortionSpec(dist)
-    if px.ndim != 1 or px.shape[0] != dist.x_size:
+    if px.ndim != 1:
         raise ValueError("px must be a pmf over the distortion matrix rows")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    px = px / px.sum()
-    floor = float(px @ dist.row_min)
-    zr = float((px @ dist.d).min())
-    if target_d < floor - 1e-12:
-        raise InfeasibleDistortionError(
-            f"target distortion {target_d!r} is below the floor {floor!r}"
-        )
-    cond = px[None, :]
-    w = np.ones(1)
-    if target_d >= zr - 1e-12 * max(1.0, zr):
-        sol = _zero_rate_solution(cond, dist.d)
-        return PerStateSolution(rate=0.0, channel=sol.channel[0], induced=sol.induced[0],
-                                slope=0.0, distortion=float(sol.dist_s[0]), gap=0.0)
-    gap_tol = max(tol / 1000.0, 1e-13)
-    res = _bisect_slope(cond, w, dist.d, target_d, gap_tol)
-    if res.gap > tol:
-        raise ConvergenceError(
-            f"inner minimization stalled with certificate gap {res.gap:g} > tol {tol:g}",
-            gap=res.gap,
-        )
-    return PerStateSolution(
-        rate=float(res.rate_s[0]), channel=res.channel[0], induced=res.induced[0],
-        slope=res.slope, distortion=float(res.dist_s[0]), gap=res.gap,
-    )
+    sol = solve_crd(validate(JointSource(px[:, None]), dist), target_d, tol=tol)
+    return PerStateSolution(rate=sol.rate, channel=sol.channel[:, 0, :],
+                            induced=sol.induced[0], slope=sol.slope,
+                            distortion=sol.distortion, gap=sol.gap)
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +672,8 @@ def _zero_rate_crd(instance, D):
 # ---------------------------------------------------------------------------
 
 
-def rd_gradient(instance, D: float, h: float = 1e-5, scheme: str = "forward",
-                tol: float = 1e-10) -> np.ndarray:
+def rd_gradient(instance, D: float, h: float = 1e-5,
+                scheme: str = "forward") -> np.ndarray:
     """Finite-difference gradient of R with respect to the joint pmf entries.
 
     Each entry (a, b) of P_XS is perturbed by +h as a free variable, without
@@ -710,26 +689,26 @@ def rd_gradient(instance, D: float, h: float = 1e-5, scheme: str = "forward",
     if scheme not in ("forward", "central"):
         raise ValueError(f"unknown scheme {scheme!r}")
     pmf = instance.source.pmf
-    base = solve_crd(instance, D, tol=tol).rate
+    base = solve_crd(instance, D, tol=_GRADIENT_TOL).rate
     grad = np.empty_like(pmf)
     for a in range(pmf.shape[0]):
         for b in range(pmf.shape[1]):
-            r_plus = _perturbed_rate(instance, pmf, a, b, +h, D, tol)
+            r_plus = _perturbed_rate(instance, pmf, a, b, +h, D)
             if scheme == "central" and pmf[a, b] >= h:
-                r_minus = _perturbed_rate(instance, pmf, a, b, -h, D, tol)
+                r_minus = _perturbed_rate(instance, pmf, a, b, -h, D)
                 grad[a, b] = (r_plus - r_minus) / (2.0 * h)
             else:
                 grad[a, b] = (r_plus - base) / h
     return grad
 
 
-def _perturbed_rate(instance, pmf, a, b, h, D, tol):
+def _perturbed_rate(instance, pmf, a, b, h, D):
     mass = 1.0 + h
     perturbed = pmf.copy()
     perturbed[a, b] += h
     src = JointSource(perturbed / mass)
     try:
-        sol = solve_crd(validate(src, instance.dist), D, tol=tol)
+        sol = solve_crd(validate(src, instance.dist), D, tol=_GRADIENT_TOL)
     except InfeasibleDistortionError as exc:
         raise InfeasibleDistortionError(
             f"perturbing mass at (x={a}, s={b}) by {h:+g} makes distortion {D!r} "

@@ -23,6 +23,12 @@ from scipy.special import logsumexp
 from .exceptions import FblcrdError
 from .solver import CrdSolution
 
+#: verify_tilted_identities' limits on identity_dev, mean_dev and tilt_slack;
+#: equality_dev may reach 10 * _TOL_TILT.
+_TOL_IDENTITY = 1e-8
+_TOL_MEAN = 1e-8
+_TOL_TILT = 1e-9
+
 
 @dataclass(frozen=True)
 class TiltedField:
@@ -110,6 +116,7 @@ class TiltedIdentityReport:
     * tilt_slack — max over sampled output laws P_{Y|S} (with X -> S -> Y) of
       E[exp{lam D - lam d(X,Y) + j}] - 1; nonpositive up to tolerance.
     * equality_dev — |E[...] - 1| when P_{Y|S} is the optimal output law.
+    * ok — every slack within its limit (1e-8, 1e-8, 1e-9 and 1e-8).
     """
 
     identity_dev: float
@@ -117,14 +124,10 @@ class TiltedIdentityReport:
     tilt_slack: float
     equality_dev: float
     ok: bool
-    tolerances: tuple
 
 
 def verify_tilted_identities(field: TiltedField, solution: CrdSolution,
-                             trials: int = 100, seed=0,
-                             tol_identity: float = 1e-8,
-                             tol_mean: float = 1e-8,
-                             tol_tilt: float = 1e-9) -> TiltedIdentityReport:
+                             trials: int = 100, seed=0) -> TiltedIdentityReport:
     """Check the three defining properties of the tilted density.
 
     Property 3 is exercised against ``trials`` random output laws with rows
@@ -161,12 +164,11 @@ def verify_tilted_identities(field: TiltedField, solution: CrdSolution,
     eq = float(np.einsum("xs,sy,xsy->", pmf, solution.induced, weight))
     equality_dev = abs(eq - 1.0)
 
-    ok = (identity_dev <= tol_identity and mean_dev <= tol_mean
-          and tilt_slack <= tol_tilt and equality_dev <= 10.0 * tol_tilt)
+    ok = (identity_dev <= _TOL_IDENTITY and mean_dev <= _TOL_MEAN
+          and tilt_slack <= _TOL_TILT and equality_dev <= 10.0 * _TOL_TILT)
     return TiltedIdentityReport(
         identity_dev=identity_dev, mean_dev=mean_dev, tilt_slack=tilt_slack,
         equality_dev=equality_dev, ok=ok,
-        tolerances=(tol_identity, tol_mean, tol_tilt),
     )
 
 

@@ -152,22 +152,18 @@ def test_acceptance_7_markov_consistency():
     rng = np.random.default_rng(707)
     shapes = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]
     worst_pair = 0.0
-    done = 0
-    while done < 20:
+    for _ in range(20):
         x_size, s_size = shapes[int(rng.integers(len(shapes)))]
         k = x_size * s_size
         xi = rng.dirichlet(np.ones(k), size=k)
-        if np.linalg.cond(np.linalg.eig(xi)[1]) > 1e8:
-            continue
         d = rng.uniform(0.0, 1.0, (x_size, x_size))
         model = f.MarkovModel(xi, x_size, s_size, f.DistortionSpec(d))
         inst = model.stationary_instance()
         budget = inst.d_floor + 0.45 * (inst.zero_rate_distortion - inst.d_floor)
         qt = f.markov_tilted_quantities(model, budget)
-        spectral = f.v_inf_spectral(model, budget, quantities=qt)
+        spectral = f.v_inf_spectral(model, qt)
         worst_pair = max(worst_pair, abs(spectral - qt.ladder.v_inf))
         assert abs(spectral - qt.ladder.v_inf) <= 1e-6
-        done += 1
 
     # memoryless collapse
     inst = f.binary_hamming_instance(a=0.5, c=0.2)
