@@ -50,6 +50,7 @@ DEFAULT_RESOLUTION = 1e-6
 #: resulting worst-case value error n*q is reported with the result.
 MAX_BINS = 1 << 23
 
+#: Monte-Carlo trials per seeded chunk of the random-coding bounds.
 _MC_CHUNK = 1 << 12
 #: Pilot sample size of the forward bound's default calibration.
 _PILOT = 128
@@ -228,15 +229,14 @@ def _power_transform(base, n):
     return pmf
 
 
-def sum_distribution(values, probs, n, resolution=DEFAULT_RESOLUTION,
-                     max_bins=MAX_BINS) -> SumDistribution:
+def sum_distribution(values, probs, n) -> SumDistribution:
     """Exact distribution of the sum of n i.i.d. draws from finite atoms.
 
     Supports of one or two distinct values yield exact point-mass/binomial
-    distributions; larger supports are quantized to a lattice of the given
-    resolution (coarsened when necessary to fit the bin budget) and
-    convolved by a single transform of the per-letter kernel, with the
-    worst-case sum error n*q reported.
+    distributions; larger supports are quantized to a lattice of
+    resolution DEFAULT_RESOLUTION (coarsened when necessary to fit the
+    MAX_BINS budget) and convolved by a single transform of the per-letter
+    kernel, with the worst-case sum error n*q reported.
     """
     v, p = _dedupe_atoms(values, probs)
     if len(v) == 1:
@@ -248,9 +248,9 @@ def sum_distribution(values, probs, n, resolution=DEFAULT_RESOLUTION,
         vals = n * v[0] + k * (v[1] - v[0])
         return SumDistribution(vals, np.exp(logpmf), n, 0.0)
     span = v[-1] - v[0]
-    q = resolution
-    if span * n / q > max_bins:
-        q = span * n / max_bins
+    q = DEFAULT_RESOLUTION
+    if span * n / q > MAX_BINS:
+        q = span * n / MAX_BINS
     offs = np.rint((v - v[0]) / q).astype(np.int64)
     base = np.zeros(int(offs.max()) + 1)
     np.add.at(base, offs, p)
@@ -470,8 +470,7 @@ class _DistortionConvolver:
 
 
 def simulate_random_code(query: FblQuery, solution: CrdSolution,
-                         trials: int, seed=0, chunk_size=_MC_CHUNK,
-                         threads: int = 1) -> BoundResult:
+                         trials: int, seed=0, threads: int = 1) -> BoundResult:
     """Monte-Carlo estimate of the random-coding achievability bound.
 
     Per trial, a source/side-information sequence is drawn from the product
@@ -488,7 +487,7 @@ def simulate_random_code(query: FblQuery, solution: CrdSolution,
     def trial_fn(rng, m):
         return pow_one_minus(conv.trial_probs(rng, m, 0.0, n * D), query.log_m)
 
-    est = chunked_monte_carlo(trials, seed, trial_fn, chunk_size=chunk_size,
+    est = chunked_monte_carlo(trials, seed, trial_fn, chunk_size=_MC_CHUNK,
                               threads=threads)
     return BoundResult(value=min(max(est.mean, 0.0), 1.0),
                        terms={"mc_mean": est.mean},

@@ -14,11 +14,11 @@ the output-marginal iterate q, the multiplicative update factor kappa
 satisfies sum_y q(y) kappa(y) = 1, and convexity of the Lagrangian in q
 gives  value(q) - value(q*) <= max_y kappa(y) - 1.  Iterations stop when
 the probability-weighted certificate drops below the gap tolerance.  The
-one iteration runs on the row-shifted kernel exp(-lam d) or, at slopes
-where that leaves float range, on its log.  Where an output enters or
-leaves the optimal support the multiplicative update decays geometrically
-with ratio near 1; a certificate that has not halved over 128 iterations
-hands the output law to a Newton solve of the stationarity system over
+iteration runs on the row-shifted kernel exp(-lam (d - min_y d)), whose
+entries lie in [0, 1] at every slope.  Where an output enters or leaves
+the optimal support the multiplicative update decays geometrically with
+ratio near 1; a certificate that has not halved over 128 iterations hands
+the output law to a Newton solve of the stationarity system over
 enumerated supports.
 
 The slope search runs once, at that one gap tolerance: every probe warm
@@ -38,14 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, InfeasibleDistortionError
-from .source import DistortionSpec, Instance, JointSource, validate
+from .source import FLOOR_SLACK, DistortionSpec, Instance, JointSource, validate
 
 _TINY = 1e-300
 _MAX_SLOPE = float(2.0**60)
 _MAX_ITER = 400_000
-# lam * (within-row spread of d) above which exp(-lam d) leaves float range
-# and the fixed-slope iteration runs on the log of the kernel
-_LOG_KERNEL_EXPONENT = 400.0
 #: Solver tolerance of the solves behind rd_gradient's finite differences.
 _GRADIENT_TOL = 1e-10
 
@@ -198,86 +195,20 @@ def _newton_polish(cond, A, q, kappa, gap_tol):
     return q
 
 
-class _LinearKernel:
-    """The row-shifted kernel A = exp(-lam (d - min_y d)); the iterate is q."""
-
-    def __init__(self, cond, w, log_a):
-        self.cond, self.w, self.a = cond, w, np.exp(log_a)
-
-    def from_law(self, q):
-        return q
-
-    def certify(self, q):
-        c = q @ self.a.T
-        np.maximum(c, _TINY, out=c)
-        kappa = (self.cond / c) @ self.a
-        return c, kappa, float(self.w @ np.maximum(kappa.max(axis=1) - 1.0, 0.0))
-
-    def update(self, q, kappa):
-        q = q * kappa
-        return q / q.sum(axis=1, keepdims=True)
-
-    def extrapolate(self, q, kappa, beta):
-        with np.errstate(divide="ignore"):
-            log_q = np.log(q) + beta * np.log(kappa)
-        cand = np.exp(log_q - log_q.max(axis=1, keepdims=True))
-        return cand / cand.sum(axis=1, keepdims=True)
-
-    def polish(self, q, kappa, gap_tol):
-        return _newton_polish(self.cond, self.a, q, kappa, gap_tol)
-
-    def finish(self, q, c, kappa):
-        """The output law, the channel [S, X, Y] and its induced marginal."""
-        channel = q[:, None, :] * self.a[None, :, :] / c[:, :, None]
-        induced = q * kappa
-        return q, channel, induced / induced.sum(axis=1, keepdims=True)
+def _certify(cond, w, a, q):
+    """c = q A^T, the update factors kappa [S, Y] and the weighted certificate."""
+    c = q @ a.T
+    np.maximum(c, _TINY, out=c)
+    kappa = (cond / c) @ a
+    return c, kappa, float(w @ np.maximum(kappa.max(axis=1) - 1.0, 0.0))
 
 
-class _LogKernel:
-    """The log of that kernel, for slopes where A leaves float range.
-
-    The iterate is ln q, and c and kappa are carried as logs too.
-    """
-
-    def __init__(self, cond, w, log_a):
-        self.cond, self.w, self.log_a = cond, w, log_a
-        with np.errstate(divide="ignore"):
-            self.log_cond = np.log(cond)
-
-    def from_law(self, q):
-        with np.errstate(divide="ignore"):
-            return np.log(q)
-
-    def certify(self, log_q):
-        log_c = _logsumexp(log_q[:, None, :] + self.log_a[None, :, :], axis=2)[:, :, 0]
-        log_kappa = _logsumexp(
-            (self.log_cond - log_c)[:, :, None] + self.log_a[None, :, :], axis=1)[:, 0, :]
-        with np.errstate(over="ignore"):
-            gap = float(self.w @ np.maximum(np.exp(log_kappa.max(axis=1)) - 1.0, 0.0))
-        return log_c, log_kappa, gap
-
-    def update(self, log_q, log_kappa):
-        return self.extrapolate(log_q, log_kappa, 1.0)
-
-    def extrapolate(self, log_q, log_kappa, beta):
-        cand = log_q + beta * log_kappa
-        return cand - _logsumexp(cand, axis=1)
-
-    def polish(self, log_q, log_kappa, gap_tol):
-        # exp of the row-shifted log kernel lies in [0, 1]: steep slopes
-        # underflow to zero off each row's nearest outputs, never overflow
-        with np.errstate(over="ignore"):
-            q = _newton_polish(self.cond, np.exp(self.log_a), np.exp(log_q),
-                               np.exp(log_kappa), gap_tol)
-        return self.from_law(q)
-
-    def finish(self, log_q, log_c, log_kappa):
-        """The output law, the channel [S, X, Y] and its induced marginal."""
-        channel = np.exp(log_q[:, None, :] + self.log_a[None, :, :] - log_c[:, :, None])
-        q, induced = np.exp(log_q), np.exp(log_q + log_kappa)
-        return (q / q.sum(axis=1, keepdims=True),
-                channel / channel.sum(axis=2, keepdims=True),
-                induced / induced.sum(axis=1, keepdims=True))
+def _extrapolate(q, kappa, beta):
+    """The output law q * kappa^beta, formed in logs and renormalized."""
+    with np.errstate(divide="ignore"):
+        log_q = np.log(q) + beta * np.log(kappa)
+    cand = np.exp(log_q - log_q.max(axis=1, keepdims=True))
+    return cand / cand.sum(axis=1, keepdims=True)
 
 
 def _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=1e-12):
@@ -285,10 +216,10 @@ def _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=1e-12):
 
     cond [S,X] holds P(x|s) rows, w [S] the state weights, dmat [X,Y] the
     distortion matrix.  Rows of dmat are shifted by their minimum before
-    exponentiation, which keeps moderate slopes in range; once lam times
-    the within-row spread passes _LOG_KERNEL_EXPONENT the same iteration
-    runs on the log of the kernel (_LogKernel) instead of the kernel
-    itself (_LinearKernel).
+    exponentiation, so every entry of the kernel A = exp(-lam (d - min_y d))
+    lies in [0, 1] at every slope: steep slopes underflow to 0 off each
+    row's nearest outputs, never overflow, and A tends to the 0/1
+    indicator of the row minima.
 
     Support identification (an output symbol entering or leaving the
     optimal law) makes the plain multiplicative update geometrically slow
@@ -297,20 +228,18 @@ def _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=1e-12):
     only if the certificate improves), which jumps past short stalls
     without leaving the simplex.  Every 128 iterations, if the certificate
     has not halved, the Newton polish identifies the optimal support
-    outright (kept only if the certificate falls); a certificate that
-    stays flat even so has hit its numerical floor and ends the iteration.
+    outright (at most 8 times; kept only if the certificate falls); a
+    certificate that stays flat even so has hit its numerical floor and
+    ends the iteration, and the caller checks the gap it returns.
     """
-    log_a = -lam * (dmat - dmat.min(axis=1, keepdims=True))
-    spread = float((dmat.max(axis=1) - dmat.min(axis=1)).max())
-    kernel = (_LogKernel if lam * spread > _LOG_KERNEL_EXPONENT else _LinearKernel)(
-        cond, w, log_a)
-    q = kernel.from_law(_warm_start(q0, cond.shape[0], dmat.shape[1]))
+    a = np.exp(-lam * (dmat - dmat.min(axis=1, keepdims=True)))
+    q = _warm_start(q0, cond.shape[0], dmat.shape[1])
     check = 64
     horizon = 128
     prev_gap = None
     hist_gap = None
     polish_attempts = 0
-    c, kappa, gap = kernel.certify(q)
+    c, kappa, gap = _certify(cond, w, a, q)
     for it in range(1, _MAX_ITER + 1):
         if gap <= gap_tol:
             break
@@ -319,10 +248,10 @@ def _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=1e-12):
             # the update, so identify the support outright
             if hist_gap is not None and gap > 0.5 * hist_gap:
                 improved = False
-                if gap < 1e-2 and polish_attempts < 8:
+                if polish_attempts < 8:
                     polish_attempts += 1
-                    cand = kernel.polish(q, kappa, gap_tol)
-                    c2, k2, g2 = kernel.certify(cand)
+                    cand = _newton_polish(cond, a, q, kappa, gap_tol)
+                    c2, k2, g2 = _certify(cond, w, a, cand)
                     if g2 < gap:
                         q, c, kappa, gap = cand, c2, k2, g2
                         improved = True
@@ -340,8 +269,8 @@ def _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=1e-12):
                     for beta in (beta0, beta0 / 16.0, beta0 / 256.0):
                         if beta <= 1.0:
                             break
-                        cand = kernel.extrapolate(q, kappa, beta)
-                        c2, k2, g2 = kernel.certify(cand)
+                        cand = _extrapolate(q, kappa, beta)
+                        c2, k2, g2 = _certify(cond, w, a, cand)
                         if g2 < gap:
                             q, c, kappa, gap = cand, c2, k2, g2
                             accepted = True
@@ -350,15 +279,14 @@ def _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=1e-12):
                     prev_gap = None
                     continue
             prev_gap = gap
-        q = kernel.update(q, kappa)
-        c, kappa, gap = kernel.certify(q)
+        q = q * kappa
+        q /= q.sum(axis=1, keepdims=True)
+        c, kappa, gap = _certify(cond, w, a, q)
     else:
         it = _MAX_ITER
-    if gap > gap_tol and q0 is not None:
-        # a polluted warm start can pin the iteration at a certificate
-        # floor that a fresh start sails below
-        return _lagrangian_solve(cond, w, dmat, lam, q0=None, gap_tol=gap_tol)
-    q, channel, induced = kernel.finish(q, c, kappa)
+    channel = q[:, None, :] * a[None, :, :] / c[:, :, None]
+    induced = q * kappa
+    induced /= induced.sum(axis=1, keepdims=True)
     dist_s = np.einsum("sx,sxy,xy->s", cond, channel, dmat)
     rate_s = _rate_per_state(cond, channel, induced)
     return _SlopeSolution(
@@ -434,7 +362,7 @@ def _bisect_slope(cond, w, dmat, target, gap_tol):
     At the feasibility floor no finite slope may bring the computed
     distortion down to the target: the steepest slope's solution then
     stands for the floor solution when its distortion exceeds the target by
-    at most 1e-12, the slack solve_crd grants below the floor.
+    at most FLOOR_SLACK, the slack solve_crd grants below the floor.
     """
     lo, sol_lo = 0.0, _zero_rate_solution(cond, dmat)
     hi = sol_hi = q_warm = None
@@ -449,7 +377,7 @@ def _bisect_slope(cond, w, dmat, target, gap_tol):
         lam *= 4.0
     if hi is None:
         reached = float(w @ sol_lo.dist_s)
-        if reached - target > 1e-12:
+        if reached - target > FLOOR_SLACK:
             raise ConvergenceError(
                 f"slope search exhausted at lam={lo:g}; distortion "
                 f"{reached!r} still above target {target!r}",
@@ -572,8 +500,12 @@ def _dual_lower_bound(cond, w, dmat, lam, q, D):
     """
     row_min = dmat.min(axis=1)
     floor = float(w @ (cond @ row_min))
-    kernel = _LogKernel(cond, w, -lam * (dmat - row_min[:, None]))
-    log_c, log_kappa, _ = kernel.certify(kernel.from_law(q))
+    log_a = -lam * (dmat - row_min[:, None])
+    with np.errstate(divide="ignore"):
+        log_q, log_cond = np.log(q), np.log(cond)
+    log_c = _logsumexp(log_q[:, None, :] + log_a[None, :, :], axis=2)[:, :, 0]
+    log_kappa = _logsumexp(
+        (log_cond - log_c)[:, :, None] + log_a[None, :, :], axis=1)[:, 0, :]
     per_state = -np.einsum("sx,sx->s", cond, log_c) - log_kappa.max(axis=1)
     return -lam * max(D - floor, 0.0) + float(w @ per_state)
 
@@ -592,7 +524,7 @@ def solve_crd(instance, D: float, tol: float = 1e-9,
     instance = validate(instance, dist)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if D < instance.d_floor - 1e-12:
+    if not instance.feasible(D):
         raise InfeasibleDistortionError(
             f"distortion {D!r} is below the feasibility floor {instance.d_floor!r}"
         )

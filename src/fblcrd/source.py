@@ -23,6 +23,10 @@ from .exceptions import ValidationError
 STRUCTURAL_ZERO = 1e-15
 
 _PMF_SUM_TOL = 1e-12
+#: Rounding slack granted at the feasibility floor: a budget this far below
+#: d_floor is still feasible, and the steepest slope's distortion may sit
+#: this far above the budget.
+FLOOR_SLACK = 1e-12
 
 
 class JointSource:
@@ -132,7 +136,8 @@ class Instance:
         return self.dist.y_size
 
     def feasible(self, distortion: float) -> bool:
-        return distortion >= self.d_floor - 1e-12
+        """Whether distortion is at or above d_floor, within FLOOR_SLACK."""
+        return distortion >= self.d_floor - FLOOR_SLACK
 
 
 def validate(source, dist: DistortionSpec | None = None) -> Instance:

@@ -71,20 +71,20 @@ class TestSumDistribution:
         vals = rng.uniform(0, 1, 5)
         probs = rng.dirichlet(np.ones(5))
         n = 40
-        dist = f.sum_distribution(vals, probs, n, resolution=1e-6)
+        dist = f.sum_distribution(vals, probs, n)
         assert dist.pmf.sum() == pytest.approx(1.0, abs=1e-9)
         span = vals.max() - vals.min()
-        q_eff = max(1e-6, span * n / f.bounds.MAX_BINS)
+        q_eff = max(f.bounds.DEFAULT_RESOLUTION, span * n / f.bounds.MAX_BINS)
         assert dist.quantization_bound <= n * q_eff * (1 + 1e-12)
         assert dist.mean() == pytest.approx(n * float(vals @ probs),
                                             abs=dist.quantization_bound)
 
-    def test_lattice_coarsens_to_budget(self):
+    def test_lattice_coarsens_to_budget(self, monkeypatch):
         rng = np.random.default_rng(9)
         vals = rng.uniform(0, 1, 4)
         probs = rng.dirichlet(np.ones(4))
-        dist = f.sum_distribution(vals, probs, 2000, resolution=1e-6,
-                                  max_bins=1 << 18)
+        monkeypatch.setattr(f.bounds, "MAX_BINS", 1 << 18)
+        dist = f.sum_distribution(vals, probs, 2000)
         assert len(dist.pmf) <= (1 << 18) + 2000
 
     def test_lattice_matches_enumeration_at_small_n(self):
@@ -162,7 +162,7 @@ class TestSumDistribution:
         vals = np.array([0.0, 0.5, 1.25])
         probs = np.array([0.5, 0.3, 0.2])
         n = 5
-        dist = f.sum_distribution(vals, probs, n, resolution=1e-6)
+        dist = f.sum_distribution(vals, probs, n)
         # brute force over all 3^5 letter assignments
         tails = {}
         for combo in itertools.product(range(3), repeat=n):
@@ -282,13 +282,12 @@ class TestSimulate:
         b = f.simulate_random_code(query, sol, trials=500, seed=3)
         assert a.value == b.value and a.mc_stderr == b.mc_stderr
 
-    def test_thread_count_does_not_change_result(self, binary_pieces):
+    def test_thread_count_does_not_change_result(self, binary_pieces, monkeypatch):
         inst, sol, field = binary_pieces
         query = f.FblQuery.from_rate(128, 0.1, 0.22)
-        serial = f.simulate_random_code(query, sol, trials=600, seed=4,
-                                        chunk_size=128, threads=1)
-        threaded = f.simulate_random_code(query, sol, trials=600, seed=4,
-                                          chunk_size=128, threads=4)
+        monkeypatch.setattr(f.bounds, "_MC_CHUNK", 128)
+        serial = f.simulate_random_code(query, sol, trials=600, seed=4, threads=1)
+        threaded = f.simulate_random_code(query, sol, trials=600, seed=4, threads=4)
         assert serial.value == threaded.value
 
 

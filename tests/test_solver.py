@@ -359,26 +359,19 @@ STALL_POINTS = {
 STALL_BUDGET = 30_000
 
 
-def count_outer_iterations(monkeypatch, slopes=None):
-    """Record the inner iterations of each fixed-slope solve of the search.
+def count_iterations(monkeypatch, slopes=None):
+    """Record the inner iterations of every fixed-slope solve.
 
-    Each solve is counted once: a fresh restart calls the solver again by
-    name and returns through the outer call.  The slope of every call,
-    nested ones included, goes to ``slopes`` when given.
+    The slope of every call goes to ``slopes`` when given.
     """
     solve = solver._lagrangian_solve
-    iterations, depth = [], [0]
+    iterations = []
 
     def counted(cond, w, dmat, lam, **kwargs):
         if slopes is not None:
             slopes.append(lam)
-        depth[0] += 1
-        try:
-            res = solve(cond, w, dmat, lam, **kwargs)
-        finally:
-            depth[0] -= 1
-        if depth[0] == 0:
-            iterations.append(res.iterations)
+        res = solve(cond, w, dmat, lam, **kwargs)
+        iterations.append(res.iterations)
         return res
 
     monkeypatch.setattr(solver, "_lagrangian_solve", counted)
@@ -390,37 +383,46 @@ def test_stall_catalogue_within_iteration_budget(point, monkeypatch):
     pmf, d, t = STALL_POINTS[point]
     inst = f.validate(f.JointSource(np.array(pmf)), f.DistortionSpec(d))
     budget = inst.d_floor + t * (inst.zero_rate_distortion - inst.d_floor)
-    iterations = count_outer_iterations(monkeypatch)
+    iterations = count_iterations(monkeypatch)
     sol = f.solve_crd(inst, budget, tol=1e-9)
     assert sol.distortion <= budget + 1e-12
     assert sum(iterations) <= STALL_BUDGET
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_log_kernel_matches_linear_kernel(seed, monkeypatch):
-    # at slopes where exp(-lam d) is in range both kernels apply, and the
-    # same iteration on either gives the same solution
-    rng = np.random.default_rng(seed)
-    pmf = rng.dirichlet(np.full(8, 2.0)).reshape(4, 2)
-    d = rng.uniform(0.0, 1.0, size=(4, 5))
-    cond, w = (pmf / pmf.sum(axis=0)).T.copy(), pmf.sum(axis=0)
-    for lam in (0.5, 3.0, 20.0, 100.0):
-        linear = solver._lagrangian_solve(cond, w, d, lam, gap_tol=1e-13)
-        with monkeypatch.context() as m:
-            m.setattr(solver, "_LOG_KERNEL_EXPONENT", 0.0)
-            log = solver._lagrangian_solve(cond, w, d, lam, gap_tol=1e-13)
-        assert w @ log.rate_s == pytest.approx(w @ linear.rate_s, abs=1e-12)
-        assert w @ log.dist_s == pytest.approx(w @ linear.dist_s, abs=1e-12)
+def test_warm_start_with_a_starved_output_certifies_in_one_solve(monkeypatch):
+    # the lam = 1 law with output 1 of state 0, which holds 0.17 of the
+    # lam = 4 optimum, starved to mass 1e-6: the update grows it back only
+    # geometrically, and the Newton polish must step in at the first stalled
+    # horizon whatever the certificate is, or the iteration exits flat
+    pmf, d, _ = STALL_POINTS["cat0-6x2x6-t0.15"]
+    pmf, d = np.array(pmf), np.array(d)
+    w = pmf.sum(axis=0)
+    cond = (pmf / w).T.copy()
+    q = solver._lagrangian_solve(cond, w, d, 1.0).q
+    q[0, 1] = 1e-6
+    q /= q.sum(axis=1, keepdims=True)
+    iterations = count_iterations(monkeypatch)
+    sol = solver._lagrangian_solve(cond, w, d, 4.0, q0=q)
+    assert len(iterations) == 1
+    assert sol.gap <= 1e-12
+    assert sol.q[0, 1] > 0.1
 
 
-def test_near_floor_solves_on_the_log_kernel(monkeypatch):
+# the largest x with exp(-x) > 0 in double precision is about 745
+EXP_UNDERFLOW = 745.0
+
+
+@pytest.mark.parametrize("excess", [0.0, 1e-12, 1e-9, 1e-6])
+def test_near_floor_solves_past_exp_underflow(excess, monkeypatch):
+    # the probes near the floor reach slopes at which the row-shifted kernel
+    # underflows to 0 off each row's nearest outputs
     inst = f.validate(f.JointSource(np.array(FLOOR_PMF)), f.DistortionSpec(FLOOR_D))
     spread = float(np.ptp(inst.dist.d, axis=1).max())
     slopes = []
-    iterations = count_outer_iterations(monkeypatch, slopes)
+    iterations = count_iterations(monkeypatch, slopes)
     tol = 1e-9
-    sol = f.solve_crd(inst, inst.d_floor + 1e-6, tol=tol)
-    assert max(slopes) * spread > solver._LOG_KERNEL_EXPONENT
+    sol = f.solve_crd(inst, inst.d_floor + excess, tol=tol)
+    assert max(slopes) * spread > EXP_UNDERFLOW
     assert sum(iterations) <= STALL_BUDGET
     assert abs(sol.rate - sol.rate_lower) <= 10.0 * tol
 
@@ -446,7 +448,7 @@ def test_polish_cost_on_large_alphabets(shape, monkeypatch):
         return newton(*args)
 
     monkeypatch.setattr(solver, "_newton_support", counted)
-    iterations = count_outer_iterations(monkeypatch)
+    iterations = count_iterations(monkeypatch)
     for t in (0.15, 0.45, 0.75):
         iterations.clear()
         subsets[0] = 0

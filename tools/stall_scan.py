@@ -7,11 +7,13 @@ The catalogue is the benchmark's random models (``fblbench/workloads.py``,
 ``characterize``) drawn at catalogue seeds 0..5 in place of the fixed
 benchmark seed: for each seed, each of the 8 ``RANDOM_SHAPES`` as drawn and
 with its side information collapsed, solved at D = floor + t * (zero-rate
-distortion - floor) for the six values of t below, 576 points in all.
+distortion - floor) for the eight values of t below, 768 points in all.
+t = 0 and 1e-6 sit at and next to the feasibility floor, where the slope
+search reaches slopes at which exp(-lam d) underflows.
 
 Each row holds the catalogue seed, the shape, ``full`` or ``collapsed``, t,
-the wall time in seconds, the inner iterations summed over the outermost
-fixed-slope solves of the search, the rate, and the error (empty when the
+the wall time in seconds, the inner iterations summed over every
+fixed-slope solve of the search, the rate, and the error (empty when the
 solve succeeded).  A summary line goes to stderr: total time, total
 iterations, errors and points over 1.5 s.  Two checkouts can be compared
 row by row, since the points come in a fixed order.
@@ -28,7 +30,7 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SEEDS = range(6)
-TS = (0.15, 0.3, 0.45, 0.6, 0.75, 0.9)
+TS = (0.0, 1e-6, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9)
 SLOW_S = 1.5
 
 
@@ -40,18 +42,11 @@ def main() -> int:
     import workloads
     from fblcrd import solver
 
-    # count each fixed-slope solve the search makes once: a nested call
-    # (a fresh restart) returns through the outermost one
-    plain, iterations, depth = solver._lagrangian_solve, [0], [0]
+    plain, iterations = solver._lagrangian_solve, [0]
 
     def counted(*args, **kwargs):
-        depth[0] += 1
-        try:
-            res = plain(*args, **kwargs)
-        finally:
-            depth[0] -= 1
-        if depth[0] == 0:
-            iterations[0] += res.iterations
+        res = plain(*args, **kwargs)
+        iterations[0] += res.iterations
         return res
 
     solver._lagrangian_solve = counted
