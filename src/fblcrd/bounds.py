@@ -6,8 +6,11 @@ Three bound evaluators share the machinery in this module:
   eps_n >= sup_gamma Pr[sum_i j_i >= ln M + gamma] - exp(-gamma),
   with the tail of the tilted-density sum computed by quantizing the
   finite per-letter support to a lattice and taking its n-fold
-  self-convolution as one real FFT raised to the n-th power (two-valued
-  supports collapse to an exact binomial, with no quantization at all).
+  self-convolution as one real FFT raised to the n-th power.  The
+  transform spans only the window around the mean that Hoeffding's
+  inequality shows to hold all but 1e-20 of the mass; what lies outside
+  folds onto it, and that bound is carried with the result.  Two-valued
+  supports collapse to an exact binomial, with no quantization at all.
 * ``simulate_random_code`` — Monte-Carlo evaluation of the random-coding
   achievability bound E[(1 - P(ball))^M], where the per-sequence ball
   probability is computed by exact per-letter convolution of the
@@ -46,9 +49,12 @@ from .tilted import TiltedField
 
 #: Default lattice resolution (nats / distortion units) for exact convolution.
 DEFAULT_RESOLUTION = 1e-6
-#: Lattice size budget; the resolution is coarsened to fit, and the
-#: resulting worst-case value error n*q is reported with the result.
+#: Lattice size budget: the resolution is coarsened until the whole support
+#: of the n-fold sum fits, and the resulting worst-case value error n*q is
+#: reported with the result.  The transform itself spans only the window.
 MAX_BINS = 1 << 23
+#: Mass the tilted-sum window may leave out (folded onto it), by Hoeffding.
+_ALIAS_MASS = 1e-20
 
 #: Monte-Carlo trials per seeded chunk of the random-coding bounds.
 _MC_CHUNK = 1 << 12
@@ -149,13 +155,17 @@ class SumDistribution:
     """Distribution of the n-fold sum of i.i.d. finite-support atoms.
 
     ``values`` must be ascending; both arrays are kept without copying.
+    ``aliasing_bound`` caps the mass from outside ``values`` that was
+    folded onto them, and so the error of every ``tail_ge`` and
+    ``expect_capped_exp`` value.
     """
 
-    def __init__(self, values, pmf, n, quantization_bound):
+    def __init__(self, values, pmf, n, quantization_bound, aliasing_bound=0.0):
         self.values = np.asarray(values, dtype=float)
         self.pmf = np.asarray(pmf, dtype=float)
         self.n = n
         self.quantization_bound = float(quantization_bound)
+        self.aliasing_bound = float(aliasing_bound)
         self._suffix = np.cumsum(self.pmf[::-1])[::-1]
 
     def tail_ge(self, t: float) -> float:
@@ -212,31 +222,49 @@ def _self_convolve(base, n):
 
 
 def _power_transform(base, n):
-    """n-fold self-convolution as one real transform raised to the n-th power.
+    """Window of the n-fold self-convolution: (first sum index, pmf, aliasing bound).
+
+    The sum index of n draws from the per-letter kernel ``base`` (bins
+    0..K) lies in 0..nK, but by Hoeffding all but ``_ALIAS_MASS`` of its
+    mass lies within t = K sqrt(n ln(2/_ALIAS_MASS)/2) of the mean n mu.
+    The kernel's transform at a length L >= 2t + 2 is raised to the n-th
+    power; the cyclic result, rolled to start at the window's first index
+    a, holds the sum indices a .. a+L-1 with the mass outside them wrapped
+    in.  That mass is at most the returned Hoeffding bound, so every tail
+    and expectation of a quantity in [0, 1] moves by no more.  When L
+    covers the whole support, a = 0, nothing wraps and the bound is 0.
 
     The transform adds absolute noise of order 1e-16 or less to each bin:
     harmless in the tilted-sum tails, fatal to the far smaller per-trial
     cover probabilities, which use ``_self_convolve`` instead.
     """
     if n == 1:
-        return base
-    size = n * (len(base) - 1) + 1
-    nfft = next_fast_len(size, real=True)
+        return 0, base, 0.0
+    span = len(base) - 1
+    size = n * span + 1
+    half = span * math.sqrt(n * math.log(2.0 / _ALIAS_MASS) / 2.0)
+    nfft = next_fast_len(min(math.ceil(2.0 * half) + 2, size), real=True)
+    mean = n * float(np.arange(len(base)) @ base)
+    first = min(max(round(mean - nfft / 2), 0), max(size - nfft, 0))
     spectrum = rfft(base, nfft)
     np.power(spectrum, n, out=spectrum)
-    pmf = irfft(spectrum, nfft, overwrite_x=True)[:size]
+    pmf = np.roll(irfft(spectrum, nfft, overwrite_x=True), -first)[:size]
     np.clip(pmf, 0.0, None, out=pmf)
-    return pmf
+    # both window edges lie at least (nfft - 1)/2 bins from the mean
+    alias = 0.0 if nfft >= size else 2.0 * math.exp(-0.5 * ((nfft - 1) / span) ** 2 / n)
+    return first, pmf, alias
 
 
 def sum_distribution(values, probs, n) -> SumDistribution:
     """Exact distribution of the sum of n i.i.d. draws from finite atoms.
 
     Supports of one or two distinct values yield exact point-mass/binomial
-    distributions; larger supports are quantized to a lattice of
-    resolution DEFAULT_RESOLUTION (coarsened when necessary to fit the
-    MAX_BINS budget) and convolved by a single transform of the per-letter
-    kernel, with the worst-case sum error n*q reported.
+    distributions.  Larger supports are quantized to a lattice of
+    resolution DEFAULT_RESOLUTION, coarsened when the whole support of the
+    sum, n times the per-letter span, would exceed MAX_BINS bins; the
+    worst-case sum error n*q is reported.  The sum is then one transform of
+    the per-letter kernel, over the window of the lattice that holds all
+    but at most ``aliasing_bound`` of the mass (``_power_transform``).
     """
     v, p = _dedupe_atoms(values, probs)
     if len(v) == 1:
@@ -254,10 +282,10 @@ def sum_distribution(values, probs, n) -> SumDistribution:
     offs = np.rint((v - v[0]) / q).astype(np.int64)
     base = np.zeros(int(offs.max()) + 1)
     np.add.at(base, offs, p)
-    pmf = _power_transform(base, n)
+    first, pmf, alias = _power_transform(base, n)
     pmf /= pmf.sum()
-    vals = n * v[0] + q * np.arange(len(pmf))
-    return SumDistribution(vals, pmf, n, n * q)
+    vals = n * v[0] + q * np.arange(first, first + len(pmf))
+    return SumDistribution(vals, pmf, n, n * q, alias)
 
 
 def tilted_sum_distribution(field: TiltedField, n: int) -> SumDistribution:

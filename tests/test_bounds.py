@@ -8,6 +8,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
+from scipy.special import gammaln
 
 import fblcrd as f
 from conftest import random_instance
@@ -15,6 +17,26 @@ from oracles import exact_random_code, exact_tilted_tail, self_convolve_direct
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 ABS_3 = f.DistortionSpec(np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0))))
+
+
+def lattice_reference(values, probs, n):
+    """(values, pmf) of the n-fold sum over the whole lattice sum_distribution
+    quantizes to, by binary exponentiation."""
+    v, p = f.bounds._dedupe_atoms(values, probs)
+    q = max(f.bounds.DEFAULT_RESOLUTION, (v[-1] - v[0]) * n / f.bounds.MAX_BINS)
+    offs = np.rint((v - v[0]) / q).astype(np.int64)
+    base = np.zeros(int(offs.max()) + 1)
+    np.add.at(base, offs, p)
+    ref = f.bounds._self_convolve(base, n)
+    ref /= ref.sum()
+    return n * v[0] + q * np.arange(len(ref)), ref
+
+
+def assert_tails_match(dist, ref_values, ref, thresholds, tol):
+    suffix = np.append(np.cumsum(ref[::-1])[::-1], 0.0)
+    for t in thresholds:
+        k = int(np.searchsorted(ref_values, t))
+        assert dist.tail_ge(float(t)) == pytest.approx(suffix[k], abs=tol)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +50,14 @@ def ternary_field():
     pmf = np.random.default_rng(701).dirichlet(np.full(6, 5.0)).reshape(3, 2)
     inst = f.validate(f.JointSource(pmf), ABS_3)
     return f.tilted_density(f.solve_crd(inst, 0.4 * inst.zero_rate_distortion))
+
+
+@pytest.fixture(scope="module")
+def ternary_reference(ternary_field):
+    """The n = 600 tilted sum of ``ternary_field``: (window, whole-lattice reference)."""
+    n = 600
+    return (f.tilted_sum_distribution(ternary_field, n),
+            lattice_reference(ternary_field.atoms_value, ternary_field.atoms_prob, n))
 
 
 class TestFblQuery:
@@ -106,29 +136,66 @@ class TestSumDistribution:
         got = np.array([dist.tail_ge(t) for t in away])
         np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-12)
 
-    def test_full_budget_matches_binary_exponentiation(self, ternary_field):
-        n = 600
-        dist = f.tilted_sum_distribution(ternary_field, n)
-        # the per-letter kernel on the lattice sum_distribution builds
-        v, p = f.bounds._dedupe_atoms(ternary_field.atoms_value, ternary_field.atoms_prob)
-        q = max(f.bounds.DEFAULT_RESOLUTION, (v[-1] - v[0]) * n / f.bounds.MAX_BINS)
-        offs = np.rint((v - v[0]) / q).astype(np.int64)
-        base = np.zeros(int(offs.max()) + 1)
-        np.add.at(base, offs, p)
-        ref = f.bounds._self_convolve(base, n)
-        ref /= ref.sum()
-        assert len(dist.pmf) == len(ref) > f.bounds.MAX_BINS - n
-        suffix = np.cumsum(ref[::-1])[::-1]
+    def test_full_budget_matches_binary_exponentiation(self, ternary_reference):
+        dist, (ref_values, ref) = ternary_reference
         mean, sd = dist.mean(), math.sqrt(dist.variance())
+        assert len(dist.pmf) < len(ref)
+        assert dist.values[0] < mean - 10.0 * sd < mean + 10.0 * sd < dist.values[-1]
+        suffix = np.cumsum(ref[::-1])[::-1]
         for t in np.linspace(mean - 3.0 * sd, mean + 5.0 * sd, 81):
-            k = int(np.searchsorted(dist.values, t))
+            k = int(np.searchsorted(ref_values, t))
             assert dist.tail_ge(float(t)) == pytest.approx(suffix[k], abs=1e-12)
+
+    def test_window_edges_match_binary_exponentiation(self, ternary_reference):
+        dist, (ref_values, ref) = ternary_reference
+        assert dist.values[0] > ref_values[0] and dist.values[-1] < ref_values[-1]
+        tol = 1e-12 + dist.aliasing_bound
+        # below and above the window: all of the mass, none of it
+        assert dist.tail_ge(dist.values[0] - 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert dist.tail_ge(float(dist.values[0])) == pytest.approx(1.0, abs=1e-12)
+        assert dist.tail_ge(dist.values[-1] + 1e-9) == 0.0
+        assert_tails_match(dist, ref_values, ref,
+                           np.linspace(dist.values[0] - 1.0, dist.values[-1] + 1.0, 201), tol)
+        for log_gamma in np.linspace(dist.values[0], dist.values[-1], 9):
+            expected = float(ref @ np.exp(np.minimum(log_gamma - ref_values, 0.0)))
+            assert dist.expect_capped_exp(float(log_gamma)) == pytest.approx(expected, abs=tol)
+
+    def test_window_clamps_at_the_low_end_of_a_skewed_support(self):
+        vals, probs, n = [0.0, 0.5, 10.0], [0.9, 0.09, 0.01], 600
+        dist = f.sum_distribution(vals, probs, n)
+        q = 10.0 * n / f.bounds.MAX_BINS
+        steps = round(0.5 / q), round(10.0 / q)
+        lattice = q * np.arange(n * steps[1] + 1)
+        assert dist.values[0] == 0.0 and len(dist.pmf) < len(lattice)
+        mean, sd = dist.mean(), math.sqrt(dist.variance())
+        assert mean + 3.0 * sd < 0.1 * dist.values[-1]
+        # the exact trinomial law on the same lattice: on this spiky support
+        # both transforms carry the clipped-noise bias (about 1.1e-12 here,
+        # 2.5e-12 for binary exponentiation), so they are held to 2e-12
+        k1, k2 = np.tril_indices(n + 1)
+        k1, k0 = k1 - k2, n - k1
+        logpmf = (gammaln(n + 1) - gammaln(k0 + 1) - gammaln(k1 + 1) - gammaln(k2 + 1)
+                  + k0 * math.log(0.9) + k1 * math.log(0.09) + k2 * math.log(0.01))
+        exact = np.bincount(k1 * steps[0] + k2 * steps[1], weights=np.exp(logpmf),
+                            minlength=len(lattice))
+        assert_tails_match(dist, lattice, exact,
+                           np.linspace(0.0, dist.values[-1] + 1.0, 201),
+                           2e-12 + dist.aliasing_bound)
+
+    def test_aliasing_bound(self):
+        assert f.sum_distribution([0.25, 1.5], [0.7, 0.3], 600).aliasing_bound == 0.0
+        assert f.sum_distribution([0.4], [1.0], 600).aliasing_bound == 0.0
+        # n = 40 spans fewer bins than the window: the whole lattice, no folding
+        assert f.sum_distribution([0.0, 0.37, 1.9], [0.5, 0.3, 0.2], 40).aliasing_bound == 0.0
+        windowed = f.sum_distribution([0.0, 0.37, 1.9], [0.5, 0.3, 0.2], 600)
+        assert 0.0 < windowed.aliasing_bound <= f.bounds._ALIAS_MASS
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak resident set from /proc")
     def test_full_budget_build_memory(self):
-        # one full-budget build at n = 600: a single transform needs about
-        # four lattice-sized arrays (~260 MB); binary exponentiation ~615 MB.
+        # one full-budget build at n = 600: a single transform over the
+        # 3.3 M-bin window grows the peak by ~130 MB; over the whole
+        # 2^23-bin lattice it took ~260 MB, binary exponentiation ~615 MB.
         # VmHWM, not ru_maxrss: a child's ru_maxrss starts from the peak of
         # the process that forked it, here the test runner's.
         code = textwrap.dedent("""
@@ -148,8 +215,12 @@ class TestSumDistribution:
                                 capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr[-2000:]
         bins, growth_mb = result.stdout.split()
-        assert int(bins) > f.bounds.MAX_BINS - 600
-        assert float(growth_mb) < 400.0
+        # the Hoeffding window's length on the per-letter span of K bins
+        n = 600
+        span_bins = round(1.9 / (1.9 * n / f.bounds.MAX_BINS))
+        half = span_bins * math.sqrt(n * math.log(2.0 / f.bounds._ALIAS_MASS) / 2.0)
+        assert int(bins) == next_fast_len(math.ceil(2.0 * half) + 2, real=True)
+        assert float(growth_mb) < 200.0
 
     def test_tail_ge_semantics(self):
         dist = f.sum_distribution([0.0, 1.0], [0.5, 0.5], 2)
