@@ -32,6 +32,7 @@ from .coremath import (
     gaussian_q,
     gaussian_q_inv,
     pow_one_minus,
+    pow_one_minus_log,
 )
 from .exceptions import (
     ConvergenceError,

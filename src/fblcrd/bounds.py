@@ -13,11 +13,12 @@ Three bound evaluators share the machinery in this module:
   supports collapse to an exact binomial, with no quantization at all.
 * ``simulate_random_code`` — Monte-Carlo evaluation of the random-coding
   achievability bound E[(1 - P(ball))^M], where the per-sequence ball
-  probability is computed by exact per-letter convolution of the
-  distortion distribution under the optimal output law.  These
-  probabilities can be far below an FFT's noise floor, so the per-class
-  m-fold sums use binary exponentiation with direct convolution on short
-  lattices.
+  probability is the exact lattice law of the distortion sum under the
+  optimal output law, returned as ln p.  Such probabilities lie far below
+  an FFT's noise floor, so each trial's per-class kernels are
+  exponentially tilted to put the sum's mass at the ball's edge; one
+  transform per slab of trials then works where the mass is, over the
+  same Hoeffding window, and the tilt is undone in logs.
 * ``forward_bound`` — a three-term relaxation of the random-coding bound
   (tail term, distortion-window term, codebook-size term) that is cheap to
   evaluate and easier to analyze; it can never beat the simulated bound.
@@ -38,10 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.signal import fftconvolve
 from scipy.special import gammaln
 
-from .coremath import gaussian_q_inv, pow_one_minus
+from .coremath import gaussian_q_inv, pow_one_minus_log
 from .exceptions import FblcrdError
 from .mc import chunk_streams, chunked_monte_carlo
 from .solver import CrdSolution
@@ -55,6 +55,8 @@ DEFAULT_RESOLUTION = 1e-6
 MAX_BINS = 1 << 23
 #: Mass the tilted-sum window may leave out (folded onto it), by Hoeffding.
 _ALIAS_MASS = 1e-20
+#: Bins (trials x transform length) per slab of per-trial cover probabilities.
+_SLAB_BINS = 1 << 14
 
 #: Monte-Carlo trials per seeded chunk of the random-coding bounds.
 _MC_CHUNK = 1 << 12
@@ -198,27 +200,15 @@ def _dedupe_atoms(values, probs):
     return uniq, agg / agg.sum()
 
 
-def _convolve(a, b):
-    if min(len(a), len(b)) <= 64 or len(a) + len(b) <= 4096:
-        return np.convolve(a, b)
-    out = fftconvolve(a, b)
-    np.clip(out, 0.0, None, out=out)
-    return out
+def _window_length(span, n):
+    """Transform length of the Hoeffding window of an n-fold sum of span-bin kernels.
 
-
-def _self_convolve(base, n):
-    """n-fold self-convolution by binary exponentiation."""
-    result = None
-    cur = base
-    e = n
-    while True:
-        if e & 1:
-            result = cur if result is None else _convolve(result, cur)
-        e >>= 1
-        if e == 0:
-            break
-        cur = _convolve(cur, cur)
-    return result
+    By Hoeffding, all but ``_ALIAS_MASS`` of the sum's mass lies within
+    h = span sqrt(n ln(2/_ALIAS_MASS)/2) bins of its mean; the window is
+    2h + 2 bins, or the whole support n span + 1 when that is shorter.
+    """
+    half = span * math.sqrt(n * math.log(2.0 / _ALIAS_MASS) / 2.0)
+    return next_fast_len(min(math.ceil(2.0 * half) + 2, n * span + 1), real=True)
 
 
 def _power_transform(base, n):
@@ -236,14 +226,14 @@ def _power_transform(base, n):
 
     The transform adds absolute noise of order 1e-16 or less to each bin:
     harmless in the tilted-sum tails, fatal to the far smaller per-trial
-    cover probabilities, which use ``_self_convolve`` instead.
+    cover probabilities, which tilt their kernels first
+    (``_DistortionConvolver``).
     """
     if n == 1:
         return 0, base, 0.0
     span = len(base) - 1
     size = n * span + 1
-    half = span * math.sqrt(n * math.log(2.0 / _ALIAS_MASS) / 2.0)
-    nfft = next_fast_len(min(math.ceil(2.0 * half) + 2, size), real=True)
+    nfft = _window_length(span, n)
     mean = n * float(np.arange(len(base)) @ base)
     first = min(max(round(mean - nfft / 2), 0), max(size - nfft, 0))
     spectrum = rfft(base, nfft)
@@ -388,7 +378,7 @@ def _lattice_quantum(dmat, n):
     per-letter quantum floors at one thousandth of the value span: these
     lattices back per-sequence ball probabilities estimated by Monte-Carlo,
     where sub-1e-3 relative threshold precision is far below the sampling
-    noise, and finer grids make the per-trial convolutions intractable.
+    noise, and finer grids make the per-trial transforms longer.
     """
     vals = np.unique(dmat)
     span = float(vals[-1]) if vals.size else 0.0
@@ -414,82 +404,142 @@ def _codeword_laws(solution: CrdSolution):
 
 
 class _DistortionConvolver:
-    """Exact distribution of sum_i d(x_i, Y_i) given per-class letter counts.
+    """Law of sum_i d(x_i, Y_i) given per-class letter counts, in logs.
 
     A class is a joint symbol (x, s) of positive probability; its per-letter
-    kernel is the lattice law of d(x, Y) with Y drawn from ``laws[x, s]``.
+    kernel is the lattice law of d(x, Y) with Y drawn from ``laws[x, s]``,
+    kept as ln pmf over bins 0..K above the class's smallest value.
     """
 
     def __init__(self, solution: CrdSolution, n: int, laws):
         inst = solution.instance
         pmf = inst.source.pmf
-        self.classes = [tuple(r) for r in np.argwhere(pmf > 0)]
         probs = pmf[pmf > 0]
         self.class_probs = probs / probs.sum()
         self.n = n
         dmat = inst.dist.d
         self.q, self.quantization_bound = _lattice_quantum(dmat, n)
-        self.kernels = []
-        for x, s in self.classes:
-            ydist = laws[x, s]
-            offs = np.rint(dmat[x] / self.q).astype(np.int64)
-            keep = ydist > 0
-            offs, p = offs[keep], ydist[keep]
-            lo, hi = int(offs.min()), int(offs.max())
-            dense = np.zeros(hi - lo + 1)
-            np.add.at(dense, offs - lo, p)
-            dense /= dense.sum()
-            self.kernels.append((lo, dense))
+        lows, kernels = [], []
+        for x, s in np.argwhere(pmf > 0):
+            keep = laws[x, s] > 0
+            offs = np.rint(dmat[x][keep] / self.q).astype(np.int64)
+            dense = np.bincount(offs - offs.min(), weights=laws[x, s][keep])
+            lows.append(offs.min())
+            kernels.append(dense / dense.sum())
+        self.lows = np.array(lows, dtype=float)
+        self.spans = np.array([len(k) - 1 for k in kernels], dtype=float)
+        self.bins = np.arange(self.spans.max() + 1)
+        with np.errstate(divide="ignore"):
+            self.log_kernels = np.log(np.stack(
+                [np.pad(k, (0, len(self.bins) - len(k))) for k in kernels]))
+        self.means = np.array([k @ self.bins[:len(k)] for k in kernels])
+        self.nfft = _window_length(len(self.bins) - 1, n)
 
-    def _mfold(self, kern, m):
-        lo, dense = kern
-        nz = np.flatnonzero(dense)
-        if nz.size == 1:
-            return m * (lo + int(nz[0])), np.ones(1)
-        if nz.size == 2:
-            stride = int(nz[1] - nz[0])
-            p1 = dense[nz[1]]
-            # 1 - p1 rounds to 0 when the other atom's probability is below ~1e-16
-            log_p0 = math.log(1.0 - p1) if p1 < 1.0 else math.log(dense[nz[0]])
-            k = np.arange(m + 1)
-            logpmf = (gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
-                      + k * math.log(p1) + (m - k) * log_p0)
-            arr = np.zeros(m * stride + 1)
-            arr[k * stride] = np.exp(logpmf)
-            return m * (lo + int(nz[0])), arr
-        return m * lo, _self_convolve(dense, m)
+    def draw_counts(self, rng, m):
+        """Per-class letter counts of m source sequences drawn i.i.d."""
+        return rng.multinomial(self.n, self.class_probs, size=m)
 
-    def sum_pmf(self, counts):
-        """(shift, dense pmf) of the distortion sum for one count vector."""
-        shift = 0
-        total = None
-        for kern, m in zip(self.kernels, counts):
-            if m == 0:
-                continue
-            s, arr = self._mfold(kern, int(m))
-            shift += s
-            total = arr if total is None else _convolve(total, arr)
-        if total is None:
-            return 0, np.ones(1)
-        return shift, total
+    def log_interval_probs(self, counts, lo_value, hi_value):
+        """ln Pr[lo_value <= sum <= hi_value] on the lattice, one per row of counts.
 
-    def interval_prob(self, counts, lo_value, hi_value):
-        """Pr[lo_value <= sum <= hi_value] on the lattice."""
-        shift, pmf = self.sum_pmf(counts)
+        Rows whose sum lies wholly inside the interval give 0, wholly
+        outside -inf.  The others are transformed in slabs of about
+        ``_SLAB_BINS`` bins (``_tilted_window``); each row's value depends
+        on that row alone.
+        """
+        counts = np.asarray(counts, dtype=float)
+        top = counts @ self.spans
+        shift = counts @ self.lows
         a = math.ceil(lo_value / self.q - 1e-9) - shift
         b = math.floor(hi_value / self.q + 1e-9) - shift
-        a = max(a, 0)
-        b = min(b, len(pmf) - 1)
-        if b < a:
-            return 0.0
-        if a == 0 and b == len(pmf) - 1:
-            return 1.0
-        return float(min(max(pmf[a:b + 1].sum(), 0.0), 1.0))
+        miss = (b < np.maximum(a, 0.0)) | (a > top)
+        out = np.where(miss, -np.inf, 0.0)
+        rows = np.flatnonzero(~miss & ((a > 0) | (b < top)))
+        slab = max(_SLAB_BINS // self.nfft, 1)
+        for i in range(0, rows.size, slab):
+            r = rows[i:i + slab]
+            out[r] = self._tilted_window(counts[r], a[r], b[r], top[r])
+        return out
 
-    def trial_probs(self, rng, m, lo_value, hi_value):
-        """interval_prob for m source sequences drawn i.i.d. from the class law."""
-        counts = rng.multinomial(self.n, self.class_probs, size=m)
-        return np.array([self.interval_prob(c, lo_value, hi_value) for c in counts])
+    def _tilt(self, theta):
+        """Kernels tilted by exp(theta v) and normalised, with their ln normalisers."""
+        expo = theta[:, None, None] * self.bins + self.log_kernels
+        peak = expo.max(axis=-1, keepdims=True)
+        w = np.exp(expo - peak)
+        z = w.sum(axis=-1, keepdims=True)
+        return w / z, (peak + np.log(z))[..., 0]
+
+    def _saddle(self, counts, target):
+        """theta with sum_k c_k mu_k(theta) within a quarter bin of target, per row.
+
+        Newton steps, each at most max(2, |theta|)/K, inside a bracket that
+        the sign of the miss narrows; a step that leaves it bisects.
+        """
+        theta = np.zeros(len(target))
+        lo = np.full(len(target), -np.inf)
+        hi = np.full(len(target), np.inf)
+        todo = np.arange(len(target))
+        for _ in range(200):
+            w, _ = self._tilt(theta[todo])
+            mu = (w * self.bins).sum(axis=-1)
+            c = counts[todo]
+            miss = (c * mu).sum(axis=1) - target[todo]
+            slope = (c * ((w * self.bins**2).sum(axis=-1) - mu * mu)).sum(axis=1)
+            open_ = np.abs(miss) > 0.25
+            todo, miss, slope = todo[open_], miss[open_], slope[open_]
+            if todo.size == 0:
+                return theta
+            th = theta[todo]
+            lo[todo] = np.where(miss < 0, th, lo[todo])
+            hi[todo] = np.where(miss > 0, th, hi[todo])
+            reach = np.maximum(2.0, np.abs(th)) / (len(self.bins) - 1)
+            with np.errstate(divide="ignore"):
+                step = np.clip(-miss / slope, -reach, reach)
+            new = th + step
+            out = (new <= lo[todo]) | (new >= hi[todo])
+            theta[todo] = np.where(out, 0.5 * (lo[todo] + hi[todo]), new)
+        raise FblcrdError("cover-probability saddle point did not converge")
+
+    def _tilted_window(self, counts, a, b, top):
+        """ln Pr[a <= U <= b] for the sums U = sum - shift of a slab of rows.
+
+        The tilt point T is the point of [a, b] nearest the row's mean,
+        half a bin inside its support [0, top]; at the saddle theta the
+        tilted sum has mean T, and one irfft of prod_k S_k(theta)^(c_k)
+        over the Hoeffding window around T gives its law p~.  Then
+        ln p = sum_k c_k ln Z_k(theta) - theta T
+               + ln sum_{v in [a, b]} p~(v) exp(-theta (v - T)),
+        where every weight is at most 1, so the transform's noise and the
+        folded mass stay relative errors.
+        """
+        nfft = self.nfft
+        target = np.clip(np.clip((counts * self.means).sum(axis=1), a, b), 0.5, top - 0.5)
+        theta = self._saddle(counts, target)
+        w, log_z = self._tilt(theta)
+        start = np.clip(np.rint(target - 0.5 * nfft), 0.0, np.maximum(top + 1 - nfft, 0.0))
+        padded = np.zeros(w.shape[:-1] + (nfft,))
+        padded[..., :w.shape[-1]] = w
+        spec = rfft(padded, axis=-1, overwrite_x=True)
+        c = counts[:, :, None]
+        # |S| can be exactly 0 (two equal atoms at omega = pi); a class with
+        # no letters must still contribute 0 there, not 0 * -inf
+        abs2 = np.maximum(spec.real * spec.real + spec.imag * spec.imag, np.finfo(float).tiny)
+        log_amp = 0.5 * (c * np.log(abs2)).sum(axis=1)
+        # frequencies whose amplitude is below e^-50 in every row are 0 to
+        # far below the transform's noise: no phase is formed for them
+        band = int(np.flatnonzero((log_amp > -50.0).any(axis=0))[-1]) + 1
+        spec = spec[..., :band]
+        amp = np.where(log_amp[:, :band] > -50.0, np.exp(log_amp[:, :band]), 0.0)
+        phase = ((c * np.arctan2(spec.imag, spec.real)).sum(axis=1)
+                 + start[:, None] * (2.0 * np.pi / nfft) * np.arange(band))
+        prod = np.empty(amp.shape, dtype=complex)
+        prod.real = amp * np.cos(phase)
+        prod.imag = amp * np.sin(phase)
+        tilted = irfft(prod, nfft, axis=-1)
+        v = start[:, None] + np.arange(nfft) - target[:, None]
+        inside = (v >= (a - target)[:, None]) & (v <= (b - target)[:, None])
+        weight = np.exp(np.where(inside, -theta[:, None] * v, -np.inf))
+        return (counts * log_z).sum(axis=1) - theta * target + np.log((tilted * weight).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +554,8 @@ def simulate_random_code(query: FblQuery, solution: CrdSolution,
     Per trial, a source/side-information sequence is drawn from the product
     law (only the per-class letter counts matter and they are drawn
     directly); the probability p that one codeword drawn from the optimal
-    output law lands within distortion D is computed by exact per-letter
-    convolution; the trial contributes (1 - p)^M.
+    output law lands within distortion D is the exact lattice law of the
+    distortion sum, taken in logs; the trial contributes (1 - p)^M.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -513,7 +563,8 @@ def simulate_random_code(query: FblQuery, solution: CrdSolution,
     conv = _DistortionConvolver(solution, n, _codeword_laws(solution))
 
     def trial_fn(rng, m):
-        return pow_one_minus(conv.trial_probs(rng, m, 0.0, n * D), query.log_m)
+        log_p = conv.log_interval_probs(conv.draw_counts(rng, m), 0.0, n * D)
+        return pow_one_minus_log(log_p, query.log_m)
 
     est = chunked_monte_carlo(trials, seed, trial_fn, chunk_size=_MC_CHUNK,
                               threads=threads)
@@ -529,15 +580,15 @@ def achievable_rate_estimate(solution: CrdSolution, n: int, eps: float,
 
     The per-trial cover probabilities do not depend on the codebook size,
     so one batch of trials supports the whole bisection over ln M.
-    Returns (rate, cover probabilities) for downstream error assessment.
+    Returns (rate, ln cover probabilities) for downstream error assessment.
     """
     D = solution.target_distortion
     conv = _DistortionConvolver(solution, n, _codeword_laws(solution))
-    p = np.concatenate([conv.trial_probs(rng, m, 0.0, n * D)
-                        for rng, m in chunk_streams(trials, seed, _MC_CHUNK)])
+    log_p = np.concatenate([conv.log_interval_probs(conv.draw_counts(rng, m), 0.0, n * D)
+                            for rng, m in chunk_streams(trials, seed, _MC_CHUNK)])
 
     def eps_hat(log_m):
-        return float(pow_one_minus(p, log_m).mean())
+        return float(pow_one_minus_log(log_p, log_m).mean())
 
     lo, hi = 0.0, max(n * 1.0, 8.0)
     for _ in range(60):
@@ -552,7 +603,7 @@ def achievable_rate_estimate(solution: CrdSolution, n: int, eps: float,
             hi = mid
         else:
             lo = mid
-    return hi / n, p
+    return hi / n, log_p
 
 
 # ---------------------------------------------------------------------------
@@ -563,15 +614,19 @@ def achievable_rate_estimate(solution: CrdSolution, n: int, eps: float,
 def _forward_params(query, conv, seed):
     """Parameter defaults: delta = D/100, beta = sqrt(n)/C, gamma = M/sqrt(n).
 
-    C is calibrated per instance from the smallest distortion-window
-    probability observed on a pilot sample (with a factor-2 margin so that
-    sequences slightly colder than the pilot minimum still zero out the
-    window term); any positive choice keeps the bound valid.
+    delta grows to reach the lattice point below nD when n D/100 falls
+    short of it: a window [n(D - delta), nD] with no lattice point has
+    probability 0, and the window term would be 1.  C is calibrated per
+    instance from the smallest distortion-window probability observed on a
+    pilot sample (with a factor-2 margin so that sequences slightly colder
+    than the pilot minimum still zero out the window term); any positive
+    choices keep the bound valid.
     """
     n, D = query.n, query.distortion
-    delta = D / 100.0
+    delta = max(D / 100.0, (n * D - conv.q * math.floor(n * D / conv.q)) / n)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    probs = conv.trial_probs(rng, _PILOT, n * (D - delta), n * D)
+    probs = np.exp(conv.log_interval_probs(conv.draw_counts(rng, _PILOT),
+                                           n * (D - delta), n * D))
     positive = probs[probs > 0]
     if positive.size == 0:
         beta = 1.0
@@ -607,7 +662,8 @@ def forward_bound(query: FblQuery, solution: CrdSolution, field: TiltedField,
     lo_val, hi_val = n * (D - params.delta), n * D
 
     def trial_fn(rng, m):
-        return np.maximum(1.0 - params.beta * conv.trial_probs(rng, m, lo_val, hi_val), 0.0)
+        log_p = conv.log_interval_probs(conv.draw_counts(rng, m), lo_val, hi_val)
+        return np.maximum(1.0 - params.beta * np.exp(log_p), 0.0)
 
     est = chunked_monte_carlo(trials, seed, trial_fn, chunk_size=_MC_CHUNK,
                               threads=threads)

@@ -13,10 +13,11 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 from scipy import integrate, optimize
+from scipy.signal import fftconvolve
 from scipy.special import gammaln
 
 import fblcrd as f
-from fblcrd.bounds import _codeword_laws, _dedupe_atoms, _DistortionConvolver
+from fblcrd.bounds import _dedupe_atoms, _lattice_quantum
 from fblcrd.exceptions import ValidationError
 from fblcrd.mc import chunk_streams
 
@@ -218,6 +219,33 @@ def self_convolve_direct(kernel, m):
     return out
 
 
+def _convolve(a, b):
+    if min(len(a), len(b)) <= 64 or len(a) + len(b) <= 4096:
+        return np.convolve(a, b)
+    out = fftconvolve(a, b)
+    np.clip(out, 0.0, None, out=out)
+    return out
+
+
+def self_convolve(base, n):
+    """n-fold self-convolution by binary exponentiation.
+
+    Pairs of long factors are convolved by FFT, so long results carry
+    absolute noise of order 1e-16 per bin.
+    """
+    result = None
+    cur = base
+    e = n
+    while True:
+        if e & 1:
+            result = cur if result is None else _convolve(result, cur)
+        e >>= 1
+        if e == 0:
+            break
+        cur = _convolve(cur, cur)
+    return result
+
+
 def _compositions(n, k):
     if k == 1:
         yield (n,)
@@ -231,18 +259,30 @@ def exact_random_code(query, solution) -> float:
     """Exhaustive evaluation of the random-coding bound (small n only).
 
     Enumerates per-class letter counts (the sufficient statistic for every
-    quantity involved) with exact multinomial weights.
+    quantity involved) with exact multinomial weights.  Each composition's
+    cover probability is the distortion sum's lattice law, built by direct
+    convolution of every class's m-fold kernel under the optimal output law.
     """
     n, D = query.n, query.distortion
-    conv = _DistortionConvolver(solution, n, _codeword_laws(solution))
-    if len(conv.class_probs) ** min(n, 8) > 10**8 and n > 16:
+    inst = solution.instance
+    pmf = inst.source.pmf
+    classes = np.argwhere(pmf > 0)
+    if len(classes) ** min(n, 8) > 10**8 and n > 16:
         raise f.FblcrdError("exact enumeration is limited to small blocklengths")
-    log_p = np.log(conv.class_probs)
+    q, _ = _lattice_quantum(inst.dist.d, n)
+    kernels = [np.bincount(np.rint(inst.dist.d[x] / q).astype(np.int64),
+                           weights=solution.induced[s]) for x, s in classes]
+    cover = int(math.floor(n * D / q + 1e-9))
+    log_p = np.log(pmf[pmf > 0])
     total = 0.0
-    for counts in _compositions(n, len(conv.classes)):
+    for counts in _compositions(n, len(classes)):
         m = np.array(counts)
         logw = gammaln(n + 1) - gammaln(m + 1).sum() + float(m @ log_p)
-        p = conv.interval_prob(m, 0.0, n * D)
+        law = np.ones(1)
+        for kern, c in zip(kernels, counts):
+            if c:
+                law = np.convolve(law, self_convolve_direct(kern, c))
+        p = float(law[:cover + 1].sum())
         total += math.exp(logw) * float(f.pow_one_minus(p, query.log_m))
     return total
 

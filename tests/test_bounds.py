@@ -9,11 +9,11 @@ import textwrap
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 import fblcrd as f
 from conftest import random_instance
-from oracles import exact_random_code, exact_tilted_tail, self_convolve_direct
+from oracles import exact_random_code, exact_tilted_tail, self_convolve, self_convolve_direct
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 ABS_3 = f.DistortionSpec(np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0))))
@@ -27,7 +27,7 @@ def lattice_reference(values, probs, n):
     offs = np.rint((v - v[0]) / q).astype(np.int64)
     base = np.zeros(int(offs.max()) + 1)
     np.add.at(base, offs, p)
-    ref = f.bounds._self_convolve(base, n)
+    ref = self_convolve(base, n)
     ref /= ref.sum()
     return n * v[0] + q * np.arange(len(ref)), ref
 
@@ -301,7 +301,8 @@ class TestConverse:
 class TestDistortionConvolver:
     def test_mfold_lower_tail_matches_direct_convolution(self):
         # a cover probability of order 1e-30 survives only direct
-        # convolution; an FFT would bury it under ~1e-16 of noise per bin
+        # convolution or a tilted transform; an untilted FFT would bury it
+        # under ~1e-16 of noise per bin
         inst = f.validate(f.JointSource(np.array([[0.5], [0.3], [0.2]])), ABS_3)
         sol = f.solve_crd(inst, 0.3)
         laws = np.broadcast_to([0.2, 0.3, 0.5], (3, 1, 3))
@@ -310,7 +311,7 @@ class TestDistortionConvolver:
         cdf = np.cumsum(self_convolve_direct([0.2, 0.3, 0.5], m))
         t = int(np.searchsorted(cdf, 1e-30, side="right")) - 1
         assert 1e-45 < cdf[t] <= 1e-30
-        got = conv.interval_prob([m, 0, 0], 0.0, float(t))
+        got = math.exp(conv.log_interval_probs([[m, 0, 0]], 0.0, float(t))[0])
         assert got == pytest.approx(cdf[t], rel=1e-9, abs=0.0)
 
     def test_two_valued_kernel_with_a_negligible_atom(self, binary_solution):
@@ -319,8 +320,86 @@ class TestDistortionConvolver:
         laws = np.broadcast_to([4e-22, 1.0], (2, 2, 2))
         m = 50
         conv = f.bounds._DistortionConvolver(binary_solution, m, laws)
-        got = conv.interval_prob([m, 0, 0, 0], 0.0, m - 1.0)
+        got = math.exp(conv.log_interval_probs([[m, 0, 0, 0]], 0.0, m - 1.0)[0])
         assert got == pytest.approx(m * 4e-22, rel=1e-9, abs=0.0)
+
+    @pytest.fixture(scope="class")
+    def unit_kernel(self):
+        """The kernel [0.2, 0.3, 0.5] at m = 600 and its law by direct convolution."""
+        inst = f.validate(f.JointSource(np.array([[0.5], [0.3], [0.2]])), ABS_3)
+        laws = np.broadcast_to([0.2, 0.3, 0.5], (3, 1, 3))
+        m = 600
+        conv = f.bounds._DistortionConvolver(f.solve_crd(inst, 0.3), m, laws)
+        return conv, m, self_convolve_direct([0.2, 0.3, 0.5], m)
+
+    def test_every_threshold_matches_direct_convolution(self, unit_kernel):
+        # lower tails from 0.2^600 (underflows in the direct law) to p -> 1
+        conv, m, pmf = unit_kernel
+        cdf = np.cumsum(pmf)
+        got = np.array([conv.log_interval_probs([[m, 0, 0]], 0.0, float(t))[0]
+                        for t in range(2 * m + 1)])
+        assert got[-1] == 0.0
+        ok = cdf > 1e-300
+        assert ok.sum() > 1000
+        assert cdf[-2] > 1.0 - 1e-15
+        np.testing.assert_allclose(np.exp(got[ok]), cdf[ok], rtol=1e-11, atol=0.0)
+
+    def test_interval_wholly_above_the_mean(self, unit_kernel):
+        conv, m, pmf = unit_kernel
+        mean = float(np.arange(len(pmf)) @ pmf)
+        for lo, hi in ((1000, 1100), (1150, 1190), (1199, 1200), (900, 1200)):
+            assert lo > mean
+            got = conv.log_interval_probs([[m, 0, 0]], float(lo), float(hi))[0]
+            assert math.exp(got) == pytest.approx(pmf[lo:hi + 1].sum(), rel=1e-11, abs=0.0)
+
+    def test_empty_interval_is_minus_infinity(self, unit_kernel):
+        conv, m, _ = unit_kernel
+        counts = [[m, 0, 0]] * 3
+        got = conv.log_interval_probs(counts, 2 * m + 0.5, 3 * m)
+        assert np.all(got == -np.inf)
+        assert conv.log_interval_probs(counts, -5.0, -0.5).tolist() == [-np.inf] * 3
+        assert conv.log_interval_probs(counts, 0.4, 0.6).tolist() == [-np.inf] * 3
+        assert conv.log_interval_probs(counts, -1.0, 2.0 * m).tolist() == [0.0] * 3
+
+    def test_row_does_not_depend_on_its_slab(self, binary_solution, monkeypatch):
+        laws = f.bounds._codeword_laws(binary_solution)
+        n = 300
+        conv = f.bounds._DistortionConvolver(binary_solution, n, laws)
+        counts = conv.draw_counts(np.random.default_rng(5), 97)
+        whole = conv.log_interval_probs(counts, 0.0, 0.1 * n)
+        alone = np.array([conv.log_interval_probs(c[None], 0.0, 0.1 * n)[0] for c in counts])
+        monkeypatch.setattr(f.bounds, "_SLAB_BINS", 7 * conv.nfft)
+        slabs_of_7 = conv.log_interval_probs(counts[::-1], 0.0, 0.1 * n)[::-1]
+        assert np.all(np.isfinite(whole))
+        assert whole.tobytes() == alone.tobytes() == slabs_of_7.tobytes()
+
+    def test_cover_probabilities_past_exp_underflow(self, binary_solution):
+        # n = 5000 binary-Hamming rows: ln p well below -745, against a
+        # log-domain oracle: per class a binomial count of misses (d = 1
+        # exactly when y != x), combined by logsumexp convolutions
+        n, D = 5000, 0.1
+        conv = f.bounds._DistortionConvolver(binary_solution, n,
+                                             f.bounds._codeword_laws(binary_solution))
+        counts = conv.draw_counts(np.random.default_rng(7), 6)
+        got = conv.log_interval_probs(counts, 0.0, n * D)
+        assert np.all(got < -745.0)
+        cover = int(math.floor(n * D + 1e-9))
+        classes = np.argwhere(binary_solution.instance.source.pmf > 0)
+        head = np.arange(cover + 1)
+        for row, value in zip(counts, got):
+            law = np.where(head == 0, 0.0, -np.inf)
+            for (x, s), m in zip(classes, row):
+                miss = binary_solution.induced[s, 1 - x]
+                k = np.minimum(head, m)
+                binom = np.where(head <= m,
+                                 gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
+                                 + k * math.log(miss) + (m - k) * math.log1p(-miss), -np.inf)
+                # law'(v) = logsumexp_i law(i) + binom(v - i), v <= cover
+                pairs = law[None, :] + np.where(head[:, None] >= head[None, :],
+                                                binom[np.maximum(head[:, None] - head, 0)],
+                                                -np.inf)
+                law = logsumexp(pairs, axis=1)
+            assert value == pytest.approx(logsumexp(law), rel=0.0, abs=1e-9)
 
 
 class TestSimulate:
@@ -360,6 +439,8 @@ class TestSimulate:
         serial = f.simulate_random_code(query, sol, trials=600, seed=4, threads=1)
         threaded = f.simulate_random_code(query, sol, trials=600, seed=4, threads=4)
         assert serial.value == threaded.value
+        two = f.simulate_random_code(query, sol, trials=600, seed=4, threads=2)
+        assert (two.value, two.mc_stderr) == (serial.value, serial.mc_stderr)
 
 
 class TestExactTail:
@@ -391,6 +472,21 @@ class TestForwardBound:
             fwd = f.forward_bound(query, sol, field, sums, trials=256, seed=7)
             sim = f.simulate_random_code(query, sol, trials=1500, seed=8)
             assert fwd.value >= sim.value - 3.0 * sim.mc_stderr
+
+    def test_window_below_one_quantum_reaches_a_lattice_point(self, binary_instance):
+        # n D/100 = 0.27 < 1: the window [n(D - D/100), nD] = [26.58, 26.85]
+        # holds no Hamming count, so with delta = D/100 the window term is 1
+        n, D = 300, 0.0895
+        sol = f.solve_crd(binary_instance, D, tol=1e-9)
+        field = f.tilted_density(sol)
+        query = f.FblQuery.from_rate(n, D, f.second_order_rate(n, 0.1, sol.rate, field.variance),
+                                     eps=0.1)
+        fwd = f.forward_bound(query, sol, field, f.tilted_sum_distribution(field, n),
+                              trials=256, seed=5)
+        sim = f.simulate_random_code(query, sol, trials=2000, seed=5)
+        assert fwd.terms["window"] < 1.0
+        assert fwd.value < 1.0
+        assert fwd.value >= sim.value - 3.0 * sim.mc_stderr
 
     def test_extreme_gamma_shifts_weight_to_window_term(self, binary_pieces):
         inst, sol, field = binary_pieces

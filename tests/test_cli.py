@@ -126,6 +126,23 @@ class TestFbl:
         assert doc["config"]["trials"] == 200
         assert set(doc["provenance"]) == set(doc["rows"][0])
 
+    def test_cover_probabilities_below_exp_underflow(self, tmp_path, capsys):
+        # at n = 5000 the cover probabilities reach e^-1000 against
+        # ln M = 927 nats; read in the linear domain they were 0 and the
+        # estimate collapsed to 0.0 below the converse
+        doc = {"x_size": 2, "s_size": 2, "y_size": 2,
+               "pmf": [[0.4, 0.4], [0.1, 0.1]], "d": [[0, 1], [1, 0]]}
+        path = tmp_path / "binary.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["fbl", "--model", str(path), "--D", "0.1", "--eps", "0.1",
+                                "--n", "5000", "--trials", "512", "--seed", "7",
+                                "--threads", "1"], capsys)
+        assert code == EXIT_OK
+        row = parse_csv(out)[1][0]
+        mc, se = float(row["achievability_eps_mc"]), float(row["achievability_stderr"])
+        assert se > 0.0
+        assert float(row["converse_eps"]) - 3.0 * se <= mc <= float(row["forward_bound"]) + 3.0 * se
+
     def test_tilted_sum_built_once_per_blocklength(self, tmp_path, capsys, monkeypatch):
         doc = {"x_size": 3, "s_size": 1, "y_size": 3,
                "pmf": [[0.5], [0.3], [0.2]],

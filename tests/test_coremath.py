@@ -165,3 +165,25 @@ def test_pow_one_minus_matches_direct_power_for_small_m():
     for m in (1, 2, 7, 40):
         assert f.pow_one_minus(p, math.log(m)) == pytest.approx((1.0 - p) ** m,
                                                                 rel=1e-12)
+
+
+def test_pow_one_minus_log_endpoints():
+    out = f.pow_one_minus_log(np.array([-np.inf, 0.0]), math.log(5.0))
+    assert out.tolist() == [1.0, 0.0]
+
+
+def test_pow_one_minus_log_matches_linear_entry():
+    p = np.array([1e-300, 1e-20, 1e-16, 1e-12, 0.01, 0.3, 0.999])
+    for log_m in (0.0, math.log(7.0), 30.0, 800.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f.pow_one_minus_log(np.log(p), log_m)
+        np.testing.assert_allclose(got, f.pow_one_minus(p, log_m), rtol=1e-12, atol=1e-300)
+
+
+def test_pow_one_minus_log_below_exp_underflow():
+    # M p = e^(ln M + ln p) with p = e^-1000 far below the smallest double
+    log_p = np.array([-1000.0, -1001.0, -995.0])
+    got = f.pow_one_minus_log(log_p, 1000.0)
+    np.testing.assert_allclose(got, np.exp(-np.exp(1000.0 + log_p)), rtol=1e-14)
+    assert f.pow_one_minus(np.exp(log_p), 1000.0).tolist() == [1.0, 1.0, 1.0]
