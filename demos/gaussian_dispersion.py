@@ -30,19 +30,17 @@ print(f"\nworking model: var_x = var_z = 1, D = 0.25 "
       f"(conditional variance {model.var_x_given_s})")
 print(f"rate {f.gaussian_crd(model):.6f} nats = (1/2) ln 2")
 
-print("\n=== sphere-cap achievability vs simulation vs converse, eps = 0.1 ===")
-print("   n    cap integral   simulated +- se     converse")
+print("\n=== sphere-cap code: bound, exact eps and converse, eps = 0.1 ===")
+print("   n    cap integral   cap code eps   converse")
 for n in (100, 200, 400):
     log_m = n * f.gaussian_second_order_rate(model, n, 0.1)
     cap = f.sphere_cap_bound(model, n, log_m)
-    sim = f.gaussian_simulate(model, n, log_m, trials=8000, seed=n)
+    exact = f.cap_code_eps(model, n, log_m)
     conv = f.gaussian_converse_eps(model, n, log_m)
-    print(f"{n:5d}    {cap:.4f}        {sim.mean:.4f} +- {sim.stderr:.4f}   "
-          f"{conv:.4f}")
+    print(f"{n:5d}    {cap:.4f}         {exact:.4f}         {conv:.4f}")
 
 print("\n=== geometry sanity at n = 10, codebook of 32 ===")
-analytic = f.gaussian_simulate(model, 10, math.log(32), trials=30000, seed=5)
-empirical = f.gaussian_simulate(model, 10, math.log(32), trials=30000, seed=6,
-                                mode="empirical")
-print(f"analytic cap probability   {analytic.mean:.4f} +- {analytic.stderr:.4f}")
+exact = f.cap_code_eps(model, 10, math.log(32))
+empirical = f.gaussian_simulate(model, 10, math.log(32), trials=30000, seed=6)
+print(f"exact cap code eps         {exact:.4f}")
 print(f"sampled codewords          {empirical.mean:.4f} +- {empirical.stderr:.4f}")

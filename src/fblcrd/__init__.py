@@ -31,7 +31,6 @@ from .coremath import (
     gaussian_cdf,
     gaussian_q,
     gaussian_q_inv,
-    pow_one_minus,
     pow_one_minus_log,
 )
 from .exceptions import (
@@ -44,6 +43,7 @@ from .gaussian import (
     GAUSSIAN_DISPERSION,
     GaussianModel,
     SphereCapParams,
+    cap_code_eps,
     gaussian_converse_eps,
     gaussian_crd,
     gaussian_second_order_rate,

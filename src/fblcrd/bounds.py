@@ -171,14 +171,15 @@ class SumDistribution:
         self._suffix = np.cumsum(self.pmf[::-1])[::-1]
 
     def tail_ge(self, t: float) -> float:
-        """Pr[sum >= t]."""
+        """Pr[sum >= t], clamped to [0, 1] against the transform's noise."""
         idx = np.searchsorted(self.values, t, side="left")
-        return float(self._suffix[idx]) if idx < len(self.values) else 0.0
+        tail = float(self._suffix[idx]) if idx < len(self.values) else 0.0
+        return min(max(tail, 0.0), 1.0)
 
     def expect_capped_exp(self, log_gamma: float) -> float:
-        """E[min(1, gamma * exp(-sum))] with gamma given in logs."""
+        """E[min(1, gamma * exp(-sum))] with gamma given in logs, clamped to [0, 1]."""
         expo = np.minimum(log_gamma - self.values, 0.0)
-        return float(self.pmf @ np.exp(expo))
+        return min(max(float(self.pmf @ np.exp(expo)), 0.0), 1.0)
 
     def mean(self) -> float:
         return float(self.pmf @ self.values)
@@ -224,10 +225,12 @@ def _power_transform(base, n):
     and expectation of a quantity in [0, 1] moves by no more.  When L
     covers the whole support, a = 0, nothing wraps and the bound is 0.
 
-    The transform adds absolute noise of order 1e-16 or less to each bin:
-    harmless in the tilted-sum tails, fatal to the far smaller per-trial
-    cover probabilities, which tilt their kernels first
-    (``_DistortionConvolver``).
+    The transform adds zero-mean noise of order 1e-16 or less to each
+    bin, negative values included.  It is not clipped, which would keep
+    only its positive half and bias the tails upwards; the readers of
+    ``SumDistribution`` clamp instead.  The noise is harmless in the
+    tilted-sum tails but fatal to the far smaller per-trial cover
+    probabilities, which tilt their kernels first (``_DistortionConvolver``).
     """
     if n == 1:
         return 0, base, 0.0
@@ -239,7 +242,6 @@ def _power_transform(base, n):
     spectrum = rfft(base, nfft)
     np.power(spectrum, n, out=spectrum)
     pmf = np.roll(irfft(spectrum, nfft, overwrite_x=True), -first)[:size]
-    np.clip(pmf, 0.0, None, out=pmf)
     # both window edges lie at least (nfft - 1)/2 bins from the mean
     alias = 0.0 if nfft >= size else 2.0 * math.exp(-0.5 * ((nfft - 1) / span) ** 2 / n)
     return first, pmf, alias

@@ -2,8 +2,9 @@
 
 Four subcommands cover the toolkit: ``rd-curve`` (rate/slope/dispersion
 along a distortion grid), ``fbl`` (finite-blocklength bounds at a target
-excess probability), ``gaussian`` (closed forms, cap-integral bound,
-simulation and converse for the jointly Gaussian source), and ``markov``
+excess probability), ``gaussian`` (closed forms, the sphere-cap code's
+exact excess probability and its cap-integral bound, and the converse for
+the jointly Gaussian source), and ``markov``
 (stationary-law quantities and second-order rates for a joint Markov
 chain).
 
@@ -33,9 +34,8 @@ from .bounds import FblQuery, converse_lower, forward_bound, second_order_rate, 
     simulate_random_code, tilted_sum_distribution
 from .coremath import LN2
 from .exceptions import ConvergenceError, InfeasibleDistortionError, ValidationError
-from .gaussian import GaussianModel, gaussian_converse_eps, gaussian_crd, \
-    gaussian_second_order_rate, gaussian_simulate, sphere_cap_bound, \
-    GAUSSIAN_DISPERSION
+from .gaussian import GaussianModel, cap_code_eps, gaussian_converse_eps, gaussian_crd, \
+    gaussian_second_order_rate, sphere_cap_bound, GAUSSIAN_DISPERSION
 from .markov import load_markov_model, markov_tilted_quantities, v_inf_spectral, \
     v_n as ladder_v_n
 from .solver import solve_crd
@@ -130,7 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_g.add_argument("--D", required=True, type=float)
     p_g.add_argument("--eps", required=True, type=_probability)
     p_g.add_argument("--n", required=True, type=_parse_int_list)
-    p_g.add_argument("--trials", type=_positive_int, default=4000)
+    p_g.add_argument("--trials", type=_positive_int, default=4000,
+                     help="no effect: gaussian rows are computed by quadrature, "
+                          "not sampled")
 
     p_m = sub.add_parser("markov", parents=[common],
                          help="Markov source second-order quantities")
@@ -224,16 +226,14 @@ def _run_gaussian(args):
     for n in args.n:
         so_rate = gaussian_second_order_rate(model, n, args.eps)
         log_m = so_rate * n
-        sim = gaussian_simulate(model, n, log_m, trials=args.trials,
-                                seed=args.seed, threads=args.threads)
         rows.append({
             "n": n,
             "rate": rate * u,
             "dispersion": GAUSSIAN_DISPERSION * u * u,
             "second_order_rate": so_rate * u,
-            "cap_bound": sphere_cap_bound(model, n, log_m) if n >= 2 else float("nan"),
-            "sim_eps": sim.mean,
-            "sim_stderr": sim.stderr,
+            "cap_bound": sphere_cap_bound(model, n, log_m),
+            "sim_eps": cap_code_eps(model, n, log_m),
+            "sim_stderr": 0.0,
             "converse_eps": gaussian_converse_eps(model, n, log_m),
         })
     provenance = {
@@ -241,9 +241,9 @@ def _run_gaussian(args):
         "rate": "closed form (1/2) ln(var_x_given_s / D)",
         "dispersion": "closed form, 1/2 nats^2 per symbol",
         "second_order_rate": "closed form",
-        "cap_bound": "adaptive quadrature of the sphere-cap integral",
-        "sim_eps": f"monte-carlo, {args.trials} trials +- stderr",
-        "sim_stderr": "monte-carlo standard error",
+        "cap_bound": "log-domain quadrature of the cap integral, sin^(n-1) cap-area bound",
+        "sim_eps": "log-domain quadrature of the cap integral, exact cap area",
+        "sim_stderr": "0: sim_eps is computed, not sampled",
         "converse_eps": "exact chi-square tail, sup over slack grid",
     }
     return rows, provenance

@@ -91,25 +91,13 @@ def chi2_sf(k: int, x):
     return _sp.chdtrc(k, np.maximum(np.asarray(x, dtype=float), 0.0))
 
 
-def pow_one_minus(p, log_m):
-    """(1 - p)^M elementwise, with M = exp(log_m), in log space.
-
-    The miss probability of M independent tries that each succeed with
-    probability p; p is clipped to [0, 1], and p = 0 gives 1 and p = 1
-    gives 0 through the infinities of the logs.
-    """
-    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.exp(-np.exp(log_m + np.log(-np.log1p(-p))))
-
-
 def pow_one_minus_log(log_p, log_m):
     """(1 - p)^M elementwise from ln p, with M = exp(log_m), in log space.
 
     Takes p through its log, so that probabilities below the smallest
     double (ln p < -745) still count.  Below p = e^-37 the hazard
     -ln(1 - p) = p (1 + p/2 + ...) equals p to rounding, so ln p stands
-    for its log; above, it is -log1p(-p) as in ``pow_one_minus``.
+    for its log; above, it is -log1p(-p).
     """
     log_p = np.minimum(np.asarray(log_p, dtype=float), 0.0)
     with np.errstate(divide="ignore", over="ignore"):

@@ -14,7 +14,11 @@ The achievability construction draws codewords uniformly on the sphere of
 radius r0 = sqrt(n (var_x_given_s - D)) centered at mu(s^n); a codeword
 covers x^n exactly when it falls in the polar cap subtended by the
 distortion ball, which is possible only for residual radii between
-r1 = r0 - sqrt(nD) and r2 = r0 + sqrt(nD).
+r1 = r0 - sqrt(nD) and r2 = r0 + sqrt(nD).  The code's excess probability
+is E[(1 - f(W))^M] over the chi-square law of the normalized squared
+residual radius W, with f the cap's share of the sphere: one integral,
+evaluated in logs with the exact f (``cap_code_eps``) or with Sakrison's
+sin^(n-1) lower bound on it (``sphere_cap_bound``).
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, betaln, gammaln, hyp2f1, xlogy
 
 from .bounds import default_gamma_grid
-from .coremath import chi2_cdf, chi2_logpdf, chi2_sf, gaussian_q_inv, pow_one_minus
+from .coremath import LN2, chi2_cdf, chi2_logpdf, chi2_sf, gaussian_q_inv, pow_one_minus_log
 from .exceptions import ConvergenceError, ValidationError
 from .mc import McEstimate, chunk_streams, chunked_monte_carlo
 
@@ -38,7 +42,12 @@ GAUSSIAN_DISPERSION = 0.5
 _MC_CHUNK = 1 << 14
 #: Relative tolerance of the sphere-cap quadrature.
 _CAP_QUAD_TOL = 1e-8
-#: Largest codebook gaussian_simulate's empirical mode samples.
+#: Equal pieces of the cap integral's range, each integrated adaptively.
+_CAP_PIECES = 32
+#: Reach of the cap integral around the chi-square mean n, in standard
+#: deviations sqrt(2n); the chi^2_n mass beyond it is below 1e-100.
+_CAP_REACH = 40.0
+#: Largest codebook gaussian_simulate samples.
 _EMPIRICAL_CODEBOOK_CAP = 4096
 
 
@@ -123,7 +132,7 @@ def tilted_density_samples(model: GaussianModel, count: int, seed=0) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# achievability: cap-area integral bound and Monte-Carlo simulation
+# achievability: the sphere-cap code's excess probability as one cap integral
 # ---------------------------------------------------------------------------
 
 
@@ -140,134 +149,125 @@ def _log_sakrison_prefactor(n):
         math.sqrt(math.pi) * n)
 
 
-def sphere_cap_bound(model: GaussianModel, n: int, log_m: float) -> float:
-    """Upper bound on eps_n for the sphere-cap codebook, by quadrature.
+def _log_exact_fraction(cos, n):
+    """ln of the exact fraction of the codeword sphere inside the cap.
 
-    Integrates (1 - f)^M against the chi-square law of the normalized
-    residual radius, where f lower-bounds the normalized cap area via the
-    classical sin^{n-1} estimate, and adds the two residual-tail
-    probabilities.  Everything is evaluated in log space.
+    For cos theta >= 0 the fraction is (1/2) I_x((n-1)/2, 1/2) with
+    x = sin^2 theta.  Where the regularized incomplete beta falls below
+    1e-290 its log comes from I_x(a, 1/2) = x^a (1-x)^(1/2) / (a B(a, 1/2))
+    2F1(a + 1/2, 1; a + 1; x), prefactor in logs.  Only that branch takes
+    the series, because near x = 1, where it converges slowly, scipy's
+    2F1 can return nan.  For cos theta < 0 the fraction is one minus the
+    opposite cap's.
     """
-    if n < 2:
-        raise ValueError("sphere-cap bound requires n >= 2")
+    x = np.clip(1.0 - cos * cos, 0.0, 1.0)
+    a = 0.5 * (n - 1)
+    inc = betainc(a, 0.5, x)
+    with np.errstate(divide="ignore"):
+        log_inc = np.log(inc)
+    deep = (inc < 1e-290) & (x > 0.0)
+    if np.any(deep):
+        xd = x[deep]
+        log_inc[deep] = (a * np.log(xd) + 0.5 * np.log1p(-xd) - math.log(a)
+                         - betaln(a, 0.5) + np.log(hyp2f1(a + 0.5, 1.0, a + 1.0, xd)))
+    return np.where(cos >= 0.0, log_inc - LN2, np.log1p(-0.5 * inc))
+
+
+def _log_sakrison_fraction(cos, n):
+    """ln of Sakrison's lower bound on the cap fraction, sin^(n-1) theta times
+    a prefactor (exactly 1/2 at n = 1, where sin^0 = 1)."""
+    sin2 = np.clip(1.0 - np.square(cos), 0.0, 1.0)
+    return _log_sakrison_prefactor(n) + xlogy(0.5 * (n - 1), sin2)
+
+
+def _cap_integral(model: GaussianModel, n: int, log_m: float, log_fraction) -> float:
+    """E[(1 - f(W))^M] of the sphere-cap codebook, W ~ chi^2_n, in log space.
+
+    ``log_fraction(cos_theta, n)`` gives ln f, the fraction of the codeword
+    sphere that covers a residual of normalized squared radius W.  Inside
+    the reachable radii (w1, w2) the miss probability times the chi-square
+    density is integrated by quadrature over equal pieces of the part
+    within _CAP_REACH standard deviations of the mean; outside, residuals
+    above w2 always miss, and so do those below w1 when r1 > 0 (when
+    r1 < 0 they are always covered).  At D >= var_x_given_s the codebook
+    is one reproduction at the conditional mean.
+    """
     var = model.var_x_given_s
     D = model.distortion
     if D >= var:
-        # rate-zero codebook: a single reproduction at the conditional mean
         return float(chi2_sf(n, n * D / var))
     params = sphere_cap_params(model, n, log_m)
     w1 = params.r1**2 / var
     w2 = params.r2**2 / var
-    log_pref = _log_sakrison_prefactor(n)
 
     def integrand(w):
-        cos = _cos_theta(w, n, model)
-        sin2 = np.clip(1.0 - cos * cos, 0.0, 1.0)
-        with np.errstate(divide="ignore"):
-            log_f = log_pref + 0.5 * (n - 1) * np.log(sin2)
-        f = np.exp(log_f)
-        miss = pow_one_minus(f, log_m)
-        return miss * np.exp(chi2_logpdf(n, w))
+        log_f = log_fraction(_cos_theta(np.array([w]), n, model), n)
+        return float(pow_one_minus_log(log_f, log_m)[0]) * math.exp(chi2_logpdf(n, w))
 
-    breakpoint_w = _covering_transition(n, model, log_m, w1, w2, log_pref)
-    points = [breakpoint_w] if breakpoint_w is not None else None
-    integral, err = integrate.quad(integrand, w1, w2, epsabs=1e-12,
-                                   epsrel=_CAP_QUAD_TOL, limit=400, points=points)
-    if not np.isfinite(integral) or (integral > 0 and err > max(
-            10 * _CAP_QUAD_TOL * integral, 1e-9)):
+    reach = _CAP_REACH * math.sqrt(2.0 * n)
+    lo, hi = max(w1, n - reach), min(w2, n + reach)
+    integral = residual = 0.0
+    if hi > lo:
+        edges = np.linspace(lo, hi, _CAP_PIECES + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            value, err = integrate.quad(integrand, a, b, epsabs=1e-15, epsrel=_CAP_QUAD_TOL)
+            integral += value
+            residual += err
+    if not math.isfinite(integral) or residual > max(10 * _CAP_QUAD_TOL * integral, 1e-9):
         raise ConvergenceError(
-            f"cap-area quadrature did not converge: value {integral!r}, residual {err!r}",
-            gap=err,
-        )
+            f"cap-area quadrature did not converge: value {integral!r}, "
+            f"residual {residual!r}", gap=residual)
     tails = float(chi2_sf(n, w2))
     if params.r1 > 0:
         tails += float(chi2_cdf(n, w1))
     return min(max(integral + tails, 0.0), 1.0)
 
 
-def _covering_transition(n, model, log_m, w1, w2, log_pref):
-    """Solve M * f(w) = 1 inside (w1, w2); helps the quadrature subdivide."""
-    def g(w):
-        cos = _cos_theta(np.array([w]), n, model)[0]
-        sin2 = min(max(1.0 - cos * cos, 0.0), 1.0)
-        if sin2 <= 0.0:
-            return -math.inf
-        return log_m + log_pref + 0.5 * (n - 1) * math.log(sin2)
+def sphere_cap_bound(model: GaussianModel, n: int, log_m: float) -> float:
+    """Upper bound on eps_n for the sphere-cap codebook.
 
-    lo, hi = w1 * (1 + 1e-9) + 1e-12, w2 * (1 - 1e-9)
-    if g(lo) >= 0 or g(hi) <= 0:
-        mid_val = g(0.5 * (lo + hi))
-        if not (g(lo) < 0 < mid_val or mid_val < 0 < g(hi)):
-            return None
-        hi = 0.5 * (lo + hi) if g(lo) < 0 < mid_val else hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    The cap integral (``_cap_integral``) with Sakrison's sin^(n-1) lower
+    bound in place of the cap fraction, which can only overstate the
+    failure probability.
+    """
+    return _cap_integral(model, n, log_m, _log_sakrison_fraction)
 
 
-def _exact_cap_fraction(cos_theta, n):
-    """Exact normalized surface area of the polar cap with the given angle."""
-    cos_theta = np.asarray(cos_theta, dtype=float)
-    sin2 = np.clip(1.0 - cos_theta**2, 0.0, 1.0)
-    half = 0.5 * betainc(0.5 * (n - 1), 0.5, sin2)
-    return np.where(cos_theta >= 0, half, 1.0 - half)
+def cap_code_eps(model: GaussianModel, n: int, log_m: float) -> float:
+    """Excess-distortion probability eps_n of the sphere-cap codebook.
+
+    The cap integral (``_cap_integral``) with the exact cap fraction: the
+    probability that none of M = exp(log_m) codewords drawn uniformly on
+    the sphere of radius r0 lands within sqrt(nD) of the residual.
+    """
+    return _cap_integral(model, n, log_m, _log_exact_fraction)
 
 
 def gaussian_simulate(model: GaussianModel, n: int, log_m: float, trials: int,
-                      seed=0, mode: str = "analytic-cap", threads: int = 1) -> McEstimate:
+                      seed=0, threads: int = 1) -> McEstimate:
     """Monte-Carlo estimate of the sphere-cap codebook excess probability.
 
-    analytic-cap mode draws only the residual radius (its law is
-    chi-square and independent of the side information) and evaluates the
-    exact cap-coverage probability from the cap angle; empirical mode
-    additionally samples the M codewords and is intended for small-n
-    cross-checks of the analytic geometry.
+    Samples the residual and all M codewords on the sphere of radius r0,
+    so it checks the cap geometry behind ``cap_code_eps`` independently;
+    it is meant for small n and integer codebooks of at most
+    _EMPIRICAL_CODEBOOK_CAP words.
     """
     var = model.var_x_given_s
-    D = model.distortion
-    if D >= var:
-        def trial_zero(rng, m):
-            w = rng.chisquare(n, size=m)
-            return (w > n * D / var).astype(float)
-        return chunked_monte_carlo(trials, seed, trial_zero, chunk_size=_MC_CHUNK,
-                                   threads=threads)
     params = sphere_cap_params(model, n, log_m)
-    if mode == "analytic-cap":
-        def trial_fn(rng, m):
-            w = rng.chisquare(n, size=m)
-            xi = np.sqrt(var * w)
-            out = np.ones(m)
-            inside = (xi > max(params.r1, 0.0)) & (xi < params.r2)
-            cos = (xi[inside]**2 + params.r0**2 - n * D) / (2 * xi[inside] * params.r0)
-            p = _exact_cap_fraction(cos, n)
-            out[inside] = pow_one_minus(p, log_m)
-            if params.r1 < 0:
-                out[xi <= -params.r1] = 0.0
-            return out
-        return chunked_monte_carlo(trials, seed, trial_fn, chunk_size=_MC_CHUNK,
-                                   threads=threads)
-    if mode == "empirical":
-        m_size = math.exp(log_m)
-        m_int = int(round(m_size))
-        if abs(m_size - m_int) > 1e-6 or m_int < 1 or m_int > _EMPIRICAL_CODEBOOK_CAP:
-            raise ValueError(
-                f"empirical mode needs an integer codebook size <= {_EMPIRICAL_CODEBOOK_CAP}"
-            )
+    m_size = math.exp(log_m)
+    m_int = int(round(m_size))
+    if abs(m_size - m_int) > 1e-6 or m_int < 1 or m_int > _EMPIRICAL_CODEBOOK_CAP:
+        raise ValueError(
+            f"sampled codewords need an integer codebook size <= {_EMPIRICAL_CODEBOOK_CAP}")
 
-        def trial_emp(rng, m):
-            resid = rng.standard_normal((m, n)) * math.sqrt(var)
-            g = rng.standard_normal((m, m_int, n))
-            g /= np.linalg.norm(g, axis=2, keepdims=True)
-            codewords = params.r0 * g
-            sq = ((resid[:, None, :] - codewords) ** 2).sum(axis=2)
-            return (sq.min(axis=1) > n * D).astype(float)
-        return chunked_monte_carlo(trials, seed, trial_emp,
-                                   chunk_size=1024, threads=threads)
-    raise ValueError(f"unknown mode {mode!r}")
+    def trial_fn(rng, m):
+        resid = rng.standard_normal((m, n)) * math.sqrt(var)
+        g = rng.standard_normal((m, m_int, n))
+        g /= np.linalg.norm(g, axis=2, keepdims=True)
+        codewords = params.r0 * g
+        sq = ((resid[:, None, :] - codewords) ** 2).sum(axis=2)
+        return (sq.min(axis=1) > n * model.distortion).astype(float)
+    return chunked_monte_carlo(trials, seed, trial_fn, chunk_size=1024, threads=threads)
 
 
 # ---------------------------------------------------------------------------

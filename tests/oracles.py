@@ -11,6 +11,7 @@ import itertools
 import math
 from decimal import Decimal, getcontext
 
+import mpmath
 import numpy as np
 from scipy import integrate, optimize
 from scipy.signal import fftconvolve
@@ -282,8 +283,11 @@ def exact_random_code(query, solution) -> float:
         for kern, c in zip(kernels, counts):
             if c:
                 law = np.convolve(law, self_convolve_direct(kern, c))
-        p = float(law[:cover + 1].sum())
-        total += math.exp(logw) * float(f.pow_one_minus(p, query.log_m))
+        p = min(float(law[:cover + 1].sum()), 1.0)
+        # (1 - p)^M directly: M stays small at the blocklengths allowed here
+        with np.errstate(divide="ignore"):
+            miss = np.exp(math.exp(query.log_m) * np.log1p(-p))
+        total += math.exp(logw) * float(miss)
     return total
 
 
@@ -406,3 +410,69 @@ def gaussian_tilted_density(model, x_seq, s_seq) -> float:
     resid = x_seq - model.mu(s_seq)
     return (0.5 * n * math.log(var / model.distortion)
             + float(resid @ resid) / (2.0 * var) - 0.5 * n)
+
+
+def cap_code_eps_mpmath(model, n: int, log_m: float, fraction: str = "exact",
+                        dps: int = 20) -> float:
+    """Excess probability of the sphere-cap codebook in ``dps``-digit arithmetic.
+
+    Integrates over the residual's radius xi, whose density is that of a
+    chi law scaled by sqrt(var_x_given_s), rather than over the normalized
+    squared radius.  The angle of the cap follows from the law of cosines
+    on the triangle (0, residual, codeword): a codeword at radius r0 covers
+    when it lies within sqrt(nD) of the residual.  ``fraction="exact"``
+    takes the cap's area from the regularized incomplete beta,
+    ``"sakrison"`` from the sin^(n-1) lower bound.  The miss probability
+    (1 - f)^M is exp(M log1p(-f)), so nothing underflows.  Residuals beyond
+    the reachable radii [r1, r2] miss, except that those below -r1 are
+    always covered; radii whose squared normalization lies more than
+    40 sqrt(2n) from n carry less than 1e-100 of the mass and are dropped.
+    """
+    with mpmath.workdps(dps):
+        var = mpmath.mpf(model.var_x) * model.var_z / (model.var_x + model.var_z)
+        dist = mpmath.mpf(model.distortion)
+        r0 = mpmath.sqrt(n * (var - dist))
+        rd = mpmath.sqrt(n * dist)
+        r1, r2 = r0 - rd, r0 + rd
+        big_m = mpmath.exp(log_m)
+        a = mpmath.mpf(n - 1) / 2
+        log_chi = (1 - mpmath.mpf(n) / 2) * mpmath.log(2) - mpmath.loggamma(mpmath.mpf(n) / 2)
+        log_sakrison = (mpmath.loggamma(mpmath.mpf(n) / 2 + 1) - mpmath.loggamma(a + 1)
+                        - mpmath.log(n * mpmath.sqrt(mpmath.pi)))
+
+        def covered(xi):
+            cos = (xi**2 + r0**2 - n * dist) / (2 * xi * r0)
+            sin2 = max(1 - cos**2, mpmath.mpf(0))
+            if fraction == "sakrison":
+                return mpmath.exp(log_sakrison + a * mpmath.log(sin2)) if sin2 > 0 else 0
+            cap = mpmath.betainc(a, 0.5, 0, sin2, regularized=True) / 2
+            return cap if cos >= 0 else 1 - cap
+
+        def density_times_miss(xi):
+            u = xi / mpmath.sqrt(var)
+            log_density = log_chi + (n - 1) * mpmath.log(u) - u**2 / 2 - mpmath.log(var) / 2
+            return mpmath.exp(log_density + big_m * mpmath.log1p(-covered(xi)))
+
+        reach = 40 * math.sqrt(2.0 * n)
+        lo = max(abs(float(r1)), math.sqrt(float(var) * max(n - reach, 0.0)))
+        hi = min(float(r2), math.sqrt(float(var) * (n + reach)))
+        total = mpmath.mpf(0)
+        if hi > lo:
+            total = mpmath.quad(density_times_miss, np.linspace(lo, hi, 33).tolist())
+        total += mpmath.gammainc(mpmath.mpf(n) / 2, r2**2 / (2 * var), mpmath.inf,
+                                 regularized=True)
+        if r1 > 0:
+            total += mpmath.gammainc(mpmath.mpf(n) / 2, 0, r1**2 / (2 * var), regularized=True)
+        return float(total)
+
+
+def cap_code_sampled_stderr(model, n: int, log_m: float, trials: int) -> float:
+    """Standard error of a ``trials``-draw estimate of the cap code's eps.
+
+    The estimate averages the miss probability (1 - f(W))^M over sampled
+    residual radii W; its second moment E[(1 - f)^(2M)] is the cap code's
+    eps at a codebook of 2M words.
+    """
+    eps = f.cap_code_eps(model, n, log_m)
+    second = f.cap_code_eps(model, n, log_m + math.log(2.0))
+    return math.sqrt((second - eps * eps) / trials)

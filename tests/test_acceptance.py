@@ -13,7 +13,7 @@ import numpy as np
 
 import fblcrd as f
 from conftest import random_instance
-from oracles import exact_random_code, exact_tilted_tail
+from oracles import cap_code_sampled_stderr, exact_random_code, exact_tilted_tail
 
 EPS = 0.1
 
@@ -184,24 +184,23 @@ def test_acceptance_7_markov_consistency():
 
 
 def test_acceptance_8_gaussian_bound_cross_check():
-    """Cap-integral bound vs simulation, and analytic vs empirical caps."""
+    """Cap-integral bound vs the cap code's eps, and that eps vs sampled codewords."""
     model = f.GaussianModel(var_x=1.0, var_z=1.0, distortion=0.25)
     lines = []
     for n in (100, 200):
         log_m = n * f.gaussian_second_order_rate(model, n, EPS)
         cap = f.sphere_cap_bound(model, n, log_m)
-        sim = f.gaussian_simulate(model, n, log_m, trials=6000, seed=800 + n)
-        assert abs(cap - sim.mean) <= 3.0 * sim.stderr
-        lines.append(f"n={n}: |cap - sim| = {abs(cap - sim.mean):.4f} "
-                     f"(3se {3 * sim.stderr:.4f})")
+        exact = f.cap_code_eps(model, n, log_m)
+        # three standard errors of the 6000-draw estimate this replaces
+        tol = 3.0 * cap_code_sampled_stderr(model, n, log_m, 6000)
+        assert abs(cap - exact) <= tol
+        lines.append(f"n={n}: |cap - eps| = {abs(cap - exact):.4f} (tol {tol:.4f})")
     log_m = math.log(32.0)
-    analytic = f.gaussian_simulate(model, 10, log_m, trials=20000, seed=81)
-    empirical = f.gaussian_simulate(model, 10, log_m, trials=20000, seed=82,
-                                    mode="empirical")
-    joint = math.hypot(analytic.stderr, empirical.stderr)
-    assert abs(analytic.mean - empirical.mean) <= 3.0 * joint
-    _report(8, "; ".join(lines) + f"; n=10 cap modes |d| = "
-            f"{abs(analytic.mean - empirical.mean):.4f} (3se {3 * joint:.4f})")
+    exact = f.cap_code_eps(model, 10, log_m)
+    empirical = f.gaussian_simulate(model, 10, log_m, trials=20000, seed=82)
+    assert abs(exact - empirical.mean) <= 3.0 * empirical.stderr
+    _report(8, "; ".join(lines) + f"; n=10 sampled codewords |d| = "
+            f"{abs(exact - empirical.mean):.4f} (3se {3 * empirical.stderr:.4f})")
 
 
 def test_acceptance_9_cli_reproducibility(tmp_path):

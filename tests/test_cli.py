@@ -195,6 +195,43 @@ class TestGaussian:
         code, _, _ = run_cli(["gaussian", "--var-x", "1"], capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("var_x,var_z,D,n,reference", [
+        (4.0, 0.5, 0.05, 1000, 0.1447385406175),
+        (1.0, 1.0, 0.25, 2000, 0.1256932207086),
+    ])
+    def test_cap_code_past_the_float_range(self, var_x, var_z, D, n, reference, capsys):
+        # ln M is 1121 and 734 nats: cap fractions formed in the linear
+        # domain saturated the n = 1000 row at 1.0 and stalled the n = 2000
+        # quadrature; the references are 20-digit mpmath values
+        # (oracles.cap_code_eps_mpmath)
+        code, out, _ = run_cli(["gaussian", "--var-x", repr(var_x), "--var-z", repr(var_z),
+                                "--D", repr(D), "--eps", "0.1", "--n", str(n),
+                                "--trials", "1000000", "--seed", "7", "--threads", "1"],
+                               capsys)
+        assert code == EXIT_OK
+        row = {k: float(v) for k, v in parse_csv(out)[1][0].items()}
+        assert row["sim_stderr"] == 0.0
+        assert row["sim_eps"] == pytest.approx(reference, abs=1e-12)
+        assert row["converse_eps"] <= row["sim_eps"] <= row["cap_bound"]
+
+    @pytest.mark.parametrize("D", [0.1, 0.3])
+    def test_blocklength_one(self, D, capsys):
+        # the codeword "sphere" is the two points +-r0; within the reachable
+        # radii each codeword covers with probability 1/2, and below them
+        # a residual is always missed (r1 > 0) or always covered (r1 < 0)
+        code, out, _ = run_cli(["gaussian", "--var-x", "1", "--var-z", "1", "--D", repr(D),
+                                "--eps", "0.1", "--n", "1", "--threads", "1"], capsys)
+        assert code == EXIT_OK
+        row = {k: float(v) for k, v in parse_csv(out)[1][0].items()}
+        model = f.GaussianModel(var_x=1.0, var_z=1.0, distortion=D)
+        params = f.sphere_cap_params(model, 1, row["second_order_rate"])
+        w1, w2 = (r**2 / model.var_x_given_s for r in (params.r1, params.r2))
+        expected = (float(f.chi2_sf(1, w2)) + (params.r1 > 0) * float(f.chi2_cdf(1, w1))
+                    + 2.0 ** -math.exp(params.log_m)
+                    * float(f.chi2_cdf(1, w2) - f.chi2_cdf(1, w1)))
+        assert row["sim_eps"] == pytest.approx(expected, abs=1e-12)
+        assert row["cap_bound"] == pytest.approx(expected, abs=1e-12)
+
 
 class TestMarkov:
     def test_iid_kernel_columns_coincide(self, markov_model_path, capsys):

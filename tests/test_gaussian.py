@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 import fblcrd as f
 from fblcrd.exceptions import ValidationError
-from oracles import gaussian_tilted_density
+from oracles import cap_code_eps_mpmath, cap_code_sampled_stderr, gaussian_tilted_density
 
 
 @pytest.fixture(scope="module")
@@ -102,40 +103,55 @@ class TestSphereCap:
         assert f.sphere_cap_bound(unit_model, 100, 0.0) >= 0.5
 
     def test_agrees_with_simulation(self, unit_model):
+        # held to three standard errors of the 6000-draw estimate it replaces
         for n in (100, 200):
             log_m = n * f.gaussian_second_order_rate(unit_model, n, 0.1)
             cap = f.sphere_cap_bound(unit_model, n, log_m)
-            sim = f.gaussian_simulate(unit_model, n, log_m, trials=6000, seed=7)
-            assert abs(cap - sim.mean) <= 3.0 * sim.stderr
+            exact = f.cap_code_eps(unit_model, n, log_m)
+            assert abs(cap - exact) <= 3.0 * cap_code_sampled_stderr(unit_model, n, log_m, 6000)
             # the cap-area lower bound can only overstate the failure
-            assert cap >= sim.mean - 3.0 * sim.stderr
+            assert cap >= exact
+
+
+class TestCapCode:
+    # the two rows whose linear-domain cap fractions saturated (n = 1000)
+    # or stalled the quadrature (n = 2000), and one row at n = 300
+    ROWS = [(4.0, 0.5, 0.05, 1000), (1.0, 1.0, 0.25, 2000), (2.0, 0.5, 0.1, 300)]
+
+    @pytest.mark.parametrize("var_x,var_z,D,n", ROWS)
+    def test_matches_mpmath(self, var_x, var_z, D, n):
+        model = f.GaussianModel(var_x=var_x, var_z=var_z, distortion=D)
+        log_m = n * f.gaussian_second_order_rate(model, n, 0.1)
+        exact = f.cap_code_eps(model, n, log_m)
+        bound = f.sphere_cap_bound(model, n, log_m)
+        assert exact == pytest.approx(cap_code_eps_mpmath(model, n, log_m), abs=1e-12)
+        assert bound == pytest.approx(cap_code_eps_mpmath(model, n, log_m, "sakrison"),
+                                      abs=1e-12)
+        assert bound >= exact
 
 
 class TestSimulation:
     def test_analytic_vs_empirical_at_n10(self, unit_model):
         n, m_size = 10, 32
         log_m = math.log(m_size)
-        analytic = f.gaussian_simulate(unit_model, n, log_m, trials=20000, seed=8)
-        empirical = f.gaussian_simulate(unit_model, n, log_m, trials=20000, seed=9,
-                                        mode="empirical")
-        joint = math.hypot(analytic.stderr, empirical.stderr)
-        assert abs(analytic.mean - empirical.mean) <= 3.0 * joint
+        exact = f.cap_code_eps(unit_model, n, log_m)
+        empirical = f.gaussian_simulate(unit_model, n, log_m, trials=20000, seed=9)
+        assert abs(exact - empirical.mean) <= 3.0 * empirical.stderr
 
     def test_zero_rate_regime_matches_chi_square_tail(self):
         m = f.GaussianModel(var_x=1.0, var_z=1.0, distortion=0.6)
         n = 50
-        sim = f.gaussian_simulate(m, n, 0.0, trials=20000, seed=10)
         exact = float(f.chi2_sf(n, n * 0.6 / 0.5))
-        assert abs(sim.mean - exact) <= 3.0 * max(sim.stderr, 1e-6)
+        assert abs(f.cap_code_eps(m, n, 0.0) - exact) <= 3e-6
 
     def test_deterministic_given_seed(self, unit_model):
-        a = f.gaussian_simulate(unit_model, 64, 12.0, trials=1000, seed=5)
-        b = f.gaussian_simulate(unit_model, 64, 12.0, trials=1000, seed=5)
+        a = f.gaussian_simulate(unit_model, 10, math.log(32), trials=1000, seed=5)
+        b = f.gaussian_simulate(unit_model, 10, math.log(32), trials=1000, seed=5)
         assert a.mean == b.mean
 
     def test_empirical_mode_rejects_huge_codebooks(self, unit_model):
         with pytest.raises(ValueError):
-            f.gaussian_simulate(unit_model, 10, 60.0, trials=10, mode="empirical")
+            f.gaussian_simulate(unit_model, 10, 60.0, trials=10)
 
 
 class TestConverse:
@@ -162,43 +178,16 @@ class TestSecondOrder:
         assert f.GAUSSIAN_DISPERSION == 0.5
 
     def test_dispersion_extraction_regression(self, unit_model):
-        # locate the simulated eps = 0.1 crossing of ln M over a range of
+        # locate the eps = 0.1 crossing of ln M of the cap code over a range of
         # blocklengths, then regress out the known higher-order shapes; the
         # sqrt(n) coefficient is the second-order rate term
-        # blocklengths stay below the float-range ceiling for the cap
-        # probabilities (the eps = 0.1 crossing needs ln M <= ~709)
         eps = 0.1
         rate = f.gaussian_crd(unit_model)
         ns = np.array([200, 400, 800, 1600])
-        crossings = []
-        for n in ns:
-            params = f.sphere_cap_params(unit_model, int(n), 0.0)
-            rng = np.random.default_rng(1000 + int(n))
-            w = rng.chisquare(int(n), size=20000)
-            xi = np.sqrt(unit_model.var_x_given_s * w)
-            inside = (xi > max(params.r1, 0.0)) & (xi < params.r2)
-            cos = ((xi[inside]**2 + params.r0**2 - n * unit_model.distortion)
-                   / (2 * xi[inside] * params.r0))
-            from fblcrd.gaussian import _exact_cap_fraction
-            p_in = _exact_cap_fraction(cos, int(n))
-            log_p = np.full(xi.shape, -np.inf)
-            log_p[inside] = np.log(p_in)
-
-            def eps_hat(log_m):
-                with np.errstate(over="ignore"):
-                    t = np.exp(log_m + np.log(-np.log1p(-np.exp(log_p))))
-                return float(np.mean(np.exp(-t)))
-
-            lo, hi = 0.0, 4.0 * n
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if eps_hat(mid) <= eps:
-                    hi = mid
-                else:
-                    lo = mid
-            crossings.append(hi)
-        crossings = np.array(crossings)
+        crossings = [optimize.brentq(lambda log_m: f.cap_code_eps(unit_model, int(n), log_m)
+                                     - eps, 0.0, 4.0 * n, xtol=1e-9)
+                     for n in ns]
         design = np.column_stack([np.sqrt(ns), np.log(ns), np.ones_like(ns)])
-        coeffs, *_ = np.linalg.lstsq(design, crossings - ns * rate, rcond=None)
+        coeffs, *_ = np.linalg.lstsq(design, np.array(crossings) - ns * rate, rcond=None)
         target = math.sqrt(0.5) * f.gaussian_q_inv(eps)
         assert coeffs[0] == pytest.approx(target, rel=0.10)
