@@ -22,6 +22,7 @@ distortion, 4 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -87,7 +88,9 @@ def _probability(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsers are reusable)."""
     parser = argparse.ArgumentParser(
         prog="fblcrd",
         description="Conditional rate-distortion curves, dispersions, and "
@@ -315,9 +318,8 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     started = time.monotonic()

@@ -69,7 +69,7 @@ def chi2_logpdf(k: int, x):
     half = 0.5 * k
     with np.errstate(divide="ignore", invalid="ignore"):
         logpdf = (half - 1.0) * np.log(x) - 0.5 * x - half * LN2 - _sp.gammaln(half)
-    if np.any(x <= 0):   # skipped on the scalar quadrature hot path
+    if np.any(x <= 0):   # skipped on the cap integral's nodes, all positive
         logpdf = np.where(x < 0, -np.inf, logpdf)
         # x == 0 boundary: density is 0 for k > 2, 1/2 for k == 2, +inf for k == 1.
         if k == 2:

@@ -27,8 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import betainc, betaln, gammaln, hyp2f1, xlogy
+from scipy.special import betainc, betaln, gammaln, xlogy
 
 from .bounds import default_gamma_grid
 from .coremath import LN2, chi2_cdf, chi2_logpdf, chi2_sf, gaussian_q_inv, pow_one_minus_log
@@ -40,10 +39,16 @@ from .mc import McEstimate, chunk_streams, chunked_monte_carlo
 GAUSSIAN_DISPERSION = 0.5
 
 _MC_CHUNK = 1 << 14
-#: Relative tolerance of the sphere-cap quadrature.
+#: Relative tolerance of the whole cap integral: the error estimates of its
+#: pieces must sum to at most this share of its value.
 _CAP_QUAD_TOL = 1e-8
-#: Equal pieces of the cap integral's range, each integrated adaptively.
+#: Equal pieces the cap integral's range starts from; the adaptive rule
+#: halves them where their error estimates are large.
 _CAP_PIECES = 32
+#: The cap integral's rule on [-1, 1]: (nodes, weights) of the 21-point
+#: Gauss-Legendre rule, whose sum is a piece's value, and of the 10-point
+#: rule, whose distance from it is the piece's error estimate.
+_CAP_RULE = (np.polynomial.legendre.leggauss(21), np.polynomial.legendre.leggauss(10))
 #: Reach of the cap integral around the chi-square mean n, in standard
 #: deviations sqrt(2n); the chi^2_n mass beyond it is below 1e-100.
 _CAP_REACH = 40.0
@@ -154,11 +159,9 @@ def _log_exact_fraction(cos, n):
 
     For cos theta >= 0 the fraction is (1/2) I_x((n-1)/2, 1/2) with
     x = sin^2 theta.  Where the regularized incomplete beta falls below
-    1e-290 its log comes from I_x(a, 1/2) = x^a (1-x)^(1/2) / (a B(a, 1/2))
-    2F1(a + 1/2, 1; a + 1; x), prefactor in logs.  Only that branch takes
-    the series, because near x = 1, where it converges slowly, scipy's
-    2F1 can return nan.  For cos theta < 0 the fraction is one minus the
-    opposite cap's.
+    1e-290 its log is x^a (1-x)^(1/2) / (a B(a, 1/2)) in logs plus the log
+    of the continued fraction (``_betacf_half``).  For cos theta < 0 the
+    fraction is one minus the opposite cap's.
     """
     x = np.clip(1.0 - cos * cos, 0.0, 1.0)
     a = 0.5 * (n - 1)
@@ -169,8 +172,41 @@ def _log_exact_fraction(cos, n):
     if np.any(deep):
         xd = x[deep]
         log_inc[deep] = (a * np.log(xd) + 0.5 * np.log1p(-xd) - math.log(a)
-                         - betaln(a, 0.5) + np.log(hyp2f1(a + 0.5, 1.0, a + 1.0, xd)))
+                         - betaln(a, 0.5) + np.log(_betacf_half(a, xd)))
     return np.where(cos >= 0.0, log_inc - LN2, np.log1p(-0.5 * inc))
+
+
+def _betacf_half(a, x):
+    """I_x(a, 1/2) / (x^a (1-x)^(1/2) / (a B(a, 1/2))), elementwise over the
+    array x: the continued fraction of Numerical Recipes' ``betacf``,
+    evaluated by the modified Lentz method.
+
+    It converges fast for x below (a + 1) / (a + 5/2), which holds with
+    room to spare where I_x(a, 1/2) is below 1e-290: there x^a < 1e-290,
+    so 1 - x is about 668 / a or more.  Entries that have not converged
+    after 200 terms are nan, so that the cap integral's check fails
+    rather than passing a wrong value.
+    """
+    b, tiny = 0.5, 1e-300
+
+    def lentz(coeff, d, c):
+        d = 1.0 + coeff * d
+        c = 1.0 + coeff / c
+        return 1.0 / np.where(np.abs(d) < tiny, tiny, d), np.where(np.abs(c) < tiny, tiny, c)
+
+    c = np.ones_like(x)
+    d = h = 1.0 / (1.0 - (a + b) * x / (a + 1.0))   # x <= 1: denominator >= 1/(2a + 2)
+    converged = np.zeros(x.shape, dtype=bool)
+    for m in range(1, 201):
+        d, c = lentz(m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)), d, c)
+        h = h * d * c
+        d, c = lentz(-(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)), d, c)
+        step = d * c
+        h = h * step
+        converged |= np.abs(step - 1.0) < 1e-12
+        if converged.all():
+            return h
+    return np.where(converged, h, np.nan)
 
 
 def _log_sakrison_fraction(cos, n):
@@ -180,14 +216,51 @@ def _log_sakrison_fraction(cos, n):
     return _log_sakrison_prefactor(n) + xlogy(0.5 * (n - 1), sin2)
 
 
+def _adaptive_quadrature(fn, lo, hi):
+    """Integral of fn over [lo, hi] and its error estimate, by _CAP_RULE.
+
+    Starts from _CAP_PIECES equal pieces and evaluates the nodes of every
+    new piece in one call of fn on a (pieces, nodes) array.  Stops once the
+    pieces' errors sum to at most _CAP_QUAD_TOL of the value (or 1e-15);
+    otherwise it halves each piece whose error exceeds its length's share of
+    that budget and evaluates the halves.  It gives up, leaving the error
+    above the budget, on a non-finite error, or where halving would pass 50
+    pieces per starting piece (QUADPACK's default subdivision limit).
+    """
+    (xk, wk), (xg, wg) = _CAP_RULE
+    nodes = np.concatenate([xk, xg])
+    edges = np.linspace(lo, hi, _CAP_PIECES + 1)
+    left, width = edges[:-1], np.diff(edges)             # pieces to evaluate
+    kept = np.empty((4, 0))                              # left, width, value, error
+    while True:
+        half = 0.5 * width
+        f = fn((left + half)[:, None] + half[:, None] * nodes)
+        value = half * (f[:, :xk.size] @ wk)
+        error = np.abs(value - half * (f[:, xk.size:] @ wg))
+        pieces = np.hstack([kept, [left, width, value, error]])
+        integral, residual = pieces[2].sum(), pieces[3].sum()
+        budget = max(_CAP_QUAD_TOL * abs(integral), 1e-15)
+        if not residual > budget:
+            break
+        split = pieces[3] > budget * pieces[1] / (hi - lo)
+        n_split = np.count_nonzero(split)
+        if n_split == 0 or pieces.shape[1] + n_split > 50 * _CAP_PIECES:
+            break
+        kept = pieces[:, ~split]
+        width = 0.5 * pieces[1, split]
+        left = np.concatenate([pieces[0, split], pieces[0, split] + width])
+        width = np.concatenate([width, width])
+    return float(integral), float(residual)
+
+
 def _cap_integral(model: GaussianModel, n: int, log_m: float, log_fraction) -> float:
     """E[(1 - f(W))^M] of the sphere-cap codebook, W ~ chi^2_n, in log space.
 
     ``log_fraction(cos_theta, n)`` gives ln f, the fraction of the codeword
     sphere that covers a residual of normalized squared radius W.  Inside
     the reachable radii (w1, w2) the miss probability times the chi-square
-    density is integrated by quadrature over equal pieces of the part
-    within _CAP_REACH standard deviations of the mean; outside, residuals
+    density is integrated by ``_adaptive_quadrature`` over the part within
+    _CAP_REACH standard deviations of the mean; outside, residuals
     above w2 always miss, and so do those below w1 when r1 > 0 (when
     r1 < 0 they are always covered).  At D >= var_x_given_s the codebook
     is one reproduction at the conditional mean.
@@ -201,18 +274,14 @@ def _cap_integral(model: GaussianModel, n: int, log_m: float, log_fraction) -> f
     w2 = params.r2**2 / var
 
     def integrand(w):
-        log_f = log_fraction(_cos_theta(np.array([w]), n, model), n)
-        return float(pow_one_minus_log(log_f, log_m)[0]) * math.exp(chi2_logpdf(n, w))
+        log_f = log_fraction(_cos_theta(w, n, model), n)
+        return pow_one_minus_log(log_f, log_m) * np.exp(chi2_logpdf(n, w))
 
     reach = _CAP_REACH * math.sqrt(2.0 * n)
     lo, hi = max(w1, n - reach), min(w2, n + reach)
     integral = residual = 0.0
     if hi > lo:
-        edges = np.linspace(lo, hi, _CAP_PIECES + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            value, err = integrate.quad(integrand, a, b, epsabs=1e-15, epsrel=_CAP_QUAD_TOL)
-            integral += value
-            residual += err
+        integral, residual = _adaptive_quadrature(integrand, lo, hi)
     if not math.isfinite(integral) or residual > max(10 * _CAP_QUAD_TOL * integral, 1e-9):
         raise ConvergenceError(
             f"cap-area quadrature did not converge: value {integral!r}, "

@@ -214,6 +214,24 @@ class TestGaussian:
         assert row["sim_eps"] == pytest.approx(reference, abs=1e-12)
         assert row["converse_eps"] <= row["sim_eps"] <= row["cap_bound"]
 
+    def test_near_conditional_variance_at_a_million(self, capsys):
+        # D/var_x_given_s = 0.99: the exact cap fraction lies below 1e-290
+        # on the covering transition, where the 2F1 series returned nan
+        code, out, _ = run_cli(["gaussian", "--var-x", "0.12301649059267708",
+                                "--var-z", "0.7013129769133427", "--D", "0.10397591564610176",
+                                "--eps", "0.5122997910950893", "--n", "1000000",
+                                "--threads", "1"], capsys)
+        assert code == EXIT_OK
+        row = {k: float(v) for k, v in parse_csv(out)[1][0].items()}
+        assert row["converse_eps"] <= row["sim_eps"] <= row["cap_bound"] <= 1.0
+
+    def test_parser_reused_after_usage_error(self, capsys):
+        argv = ["gaussian", "--var-x", "1", "--var-z", "1", "--D", "0.25", "--eps", "0.1",
+                "--n", "50", "--threads", "1"]
+        first = run_cli(argv, capsys)
+        assert run_cli(["gaussian", "--var-x", "1"], capsys)[0] == EXIT_USAGE
+        assert run_cli(argv, capsys)[:2] == first[:2]
+
     @pytest.mark.parametrize("D", [0.1, 0.3])
     def test_blocklength_one(self, D, capsys):
         # the codeword "sphere" is the two points +-r0; within the reachable

@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import optimize
 
 import fblcrd as f
-from fblcrd.exceptions import ValidationError
+from fblcrd import gaussian
+from fblcrd.exceptions import ConvergenceError, ValidationError
 from oracles import cap_code_eps_mpmath, cap_code_sampled_stderr, gaussian_tilted_density
 
 
@@ -128,6 +130,95 @@ class TestCapCode:
         assert bound == pytest.approx(cap_code_eps_mpmath(model, n, log_m, "sakrison"),
                                       abs=1e-12)
         assert bound >= exact
+
+
+class TestCapQuadrature:
+    MODEL = f.GaussianModel(var_x=2.0, var_z=0.5, distortion=0.1)
+
+    def log_m(self, n):
+        return n * f.gaussian_second_order_rate(self.MODEL, n, 0.1)
+
+    @pytest.mark.parametrize("rule", [0, 1], ids=["21-point", "10-point"])
+    def test_rule_integrates_polynomials_exactly(self, rule):
+        nodes, weights = gaussian._CAP_RULE[rule]
+        assert weights.sum() == pytest.approx(2.0, abs=1e-14)
+        for k in range(20):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert weights @ nodes**k == pytest.approx(exact, abs=1e-14)
+
+    def test_one_call_per_refinement_level(self):
+        calls = []
+
+        def counted(cos, n):
+            calls.append(cos.size)
+            return gaussian._log_exact_fraction(cos, n)
+
+        n = 300
+        value = gaussian._cap_integral(self.MODEL, n, self.log_m(n), counted)
+        assert value == f.cap_code_eps(self.MODEL, n, self.log_m(n))
+        assert 1 <= len(calls) <= 10
+
+    def test_nan_fraction_raises(self):
+        with pytest.raises(ConvergenceError):
+            gaussian._cap_integral(self.MODEL, 300, self.log_m(300),
+                                   lambda cos, n: np.full(cos.shape, np.nan))
+
+    def test_noisy_fraction_raises_within_the_piece_cap(self):
+        rng = np.random.default_rng(0)
+        sizes = []
+
+        def noisy(cos, n):
+            sizes.append(cos.size)
+            return gaussian._log_exact_fraction(cos, n) + rng.normal(0.0, 0.5, cos.shape)
+
+        with pytest.raises(ConvergenceError):
+            gaussian._cap_integral(self.MODEL, 300, self.log_m(300), noisy)
+        nodes = sum(rule[0].size for rule in gaussian._CAP_RULE)
+        assert max(sizes) <= 50 * gaussian._CAP_PIECES * nodes
+
+
+class TestCapRobustness:
+    def test_deep_fraction_matches_mpmath(self):
+        # a = (n - 1)/2 = 5e5; at x = 0.998 and 0.99867 betainc is below
+        # 1e-290 and the continued fraction takes over, at 0.999 it is not
+        a = mpmath.mpf(500000)
+        for x in (0.998, 0.99867, 0.999):
+            cos = math.sqrt(1.0 - x)
+            with mpmath.workdps(30):
+                xm = mpmath.mpf(1.0 - cos * cos)
+                ref = (a * mpmath.log(xm) + mpmath.log1p(-xm) / 2 - mpmath.log(a)
+                       - mpmath.log(mpmath.beta(a, 0.5)) - mpmath.log(2)
+                       + mpmath.log(mpmath.hyp2f1(a + 0.5, 1, a + 1, xm, maxterms=10**7)))
+            got = gaussian._log_exact_fraction(np.array([cos]), 1000001)[0]
+            assert got == pytest.approx(float(ref), rel=1e-12)
+
+    def test_near_conditional_variance_large_n(self):
+        # D close to var_x_given_s at large n puts the covering transition
+        # where betainc underflows; every row must give a sandwiched value
+        rng = np.random.default_rng(17)
+        for _ in range(12):
+            var_x, var_z = rng.uniform(0.1, 2.0, size=2)
+            var = var_x * var_z / (var_x + var_z)
+            model = f.GaussianModel(var_x=var_x, var_z=var_z,
+                                    distortion=rng.uniform(0.9, 0.999) * var)
+            n = int(rng.choice([10**4, 10**5, 10**6, 3 * 10**6]))
+            log_m = n * f.gaussian_second_order_rate(model, n, rng.uniform(0.05, 0.95))
+            exact = f.cap_code_eps(model, n, log_m)
+            bound = f.sphere_cap_bound(model, n, log_m)
+            converse = f.gaussian_converse_eps(model, n, log_m)
+            assert 0.0 <= converse <= exact <= bound <= 1.0
+
+    def test_random_rows_match_mpmath(self):
+        rng = np.random.default_rng(29)
+        for _ in range(5):
+            var_x, var_z = rng.uniform(0.2, 3.0, size=2)
+            var = var_x * var_z / (var_x + var_z)
+            model = f.GaussianModel(var_x=var_x, var_z=var_z,
+                                    distortion=rng.uniform(0.05, 0.9) * var)
+            n = int(rng.integers(20, 2001))
+            log_m = n * f.gaussian_second_order_rate(model, n, rng.uniform(0.05, 0.5))
+            assert f.cap_code_eps(model, n, log_m) == pytest.approx(
+                cap_code_eps_mpmath(model, n, log_m), abs=1e-10)
 
 
 class TestSimulation:
